@@ -1,8 +1,8 @@
 """Constructive satisfiability for ATL+ with certified model synthesis.
 
 The pipeline: parse a formula, normalize it, build a pretableau by
-alternating saturation and successor rules, eliminate prestates and then
-unrealizable or stuck states, and read off the verdict.  On SAT, a finite
+alternating saturation and successor rules, eliminate unrealizable or
+stuck states, and read off the verdict.  On SAT, a finite
 concurrent game model is assembled from realization witnesses and certified
 by an independent bounded model checker before it is ever emitted.
 """
@@ -23,7 +23,6 @@ from .decomposition import (
     realized_now,
 )
 from .enumeration import (
-    bounded_models,
     enumerate_cgms,
     find_bounded_model,
     sample_cgm,
@@ -63,7 +62,6 @@ from .tableau import (
     Tableau,
     build_pretableau,
     decide,
-    eliminate_prestates,
     eliminate_states,
     realization_fixpoint,
     tableau_dot,
@@ -93,14 +91,12 @@ __all__ = [
     "Tableau",
     "assemble",
     "boolean_depth",
-    "bounded_models",
     "build_pretableau",
     "check_model",
     "closure",
     "dec",
     "decide",
     "default_universe",
-    "eliminate_prestates",
     "eliminate_states",
     "enumerate_cgms",
     "extract_cgm",

@@ -279,59 +279,6 @@ class ModelChecker:
         self._group_memo[key] = result
         return result
 
-    # ------------------------------------------------------------------
-    # Path formulas on ultimately periodic plays
-
-    def eval_path(
-        self, path: PathFormula, prefix: list[int], loop: list[int]
-    ) -> bool:
-        """Evaluate a path formula on the play ``prefix . loop^omega``."""
-        if not loop:
-            raise CheckError("a play needs a nonempty loop")
-        horizon = len(prefix) + 2 * len(loop)
-
-        def at(i: int) -> int:
-            if i < len(prefix):
-                return prefix[i]
-            return loop[(i - len(prefix)) % len(loop)]
-
-        def ev(p: PathFormula) -> bool:
-            if isinstance(p, PAnd):
-                return ev(p.lhs) and ev(p.rhs)
-            if isinstance(p, POr):
-                return ev(p.lhs) or ev(p.rhs)
-            if isinstance(p, St):
-                return self.holds(p.state, at(0))
-            if isinstance(p, Next):
-                return self.holds(p.state, at(1))
-            if isinstance(p, Always):
-                where = self.states_where(p.state)
-                return all(at(i) in where for i in range(horizon))
-            if isinstance(p, Sometime):
-                where = self.states_where(p.state)
-                return any(at(i) in where for i in range(horizon))
-            if isinstance(p, Until):
-                left = self.states_where(p.lhs)
-                right = self.states_where(p.rhs)
-                for i in range(horizon):
-                    if at(i) in right:
-                        return True
-                    if at(i) not in left:
-                        return False
-                return False
-            if isinstance(p, Release):
-                left = self.states_where(p.lhs)
-                right = self.states_where(p.rhs)
-                for i in range(horizon):
-                    if at(i) not in right:
-                        return False
-                    if at(i) in left:
-                        return True
-                return True
-            raise CheckError(f"cannot evaluate path formula {p!r}")
-
-        return ev(path)
-
 
 # ---------------------------------------------------------------------------
 # Reports

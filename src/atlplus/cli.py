@@ -3,8 +3,9 @@
 Exit codes follow one convention across subcommands so shell scripts can
 branch on them: 0 = positive outcome (SAT / all checks pass), 1 = negative
 outcome (UNSAT / a check fails), 2 = usage or input error (bad formula,
-unreadable file, closure budget exceeded), 3 = a synthesized model failed
-its own certification (never emitted).
+unreadable file, closure budget exceeded), 3 = internal error (any
+unexpected exception, or a synthesized model that failed its own
+certification and was never emitted).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .tableau import Decision, decide, tableau_dot
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-EXIT_UNCERTIFIED = 3
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -132,7 +133,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "internal error: synthesized model failed certification; not emitting it",
             file=sys.stderr,
         )
-        return EXIT_UNCERTIFIED
+        return EXIT_INTERNAL
     text = model.to_json()
     if args.json_model:
         with open(args.json_model, "w", encoding="utf-8") as handle:
@@ -425,6 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a crash must never read as a verdict
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .syntax import StateFormula
 
 __all__ = [
     "enumerate_cgms",
-    "bounded_models",
     "find_bounded_model",
     "sample_cgm",
 ]
@@ -125,17 +124,6 @@ def enumerate_cgms(
     return models
 
 
-def bounded_models(
-    formula: StateFormula,
-    universe: tuple[int, ...],
-    props: tuple[str, ...],
-    max_states: int = 2,
-    max_actions: int = 2,
-) -> list[CGM]:
-    """Enumerated candidate models for a satisfiability search."""
-    return enumerate_cgms(len(universe), tuple(props), max_states, max_actions)
-
-
 def find_bounded_model(
     formula: StateFormula,
     universe: tuple[int, ...],
@@ -148,7 +136,7 @@ def find_bounded_model(
     Returns (model, state index) for the first hit in enumeration order, or
     None when no bounded model satisfies the formula at any state.
     """
-    for model in bounded_models(formula, universe, props, max_states, max_actions):
+    for model in enumerate_cgms(len(universe), tuple(props), max_states, max_actions):
         checker = ModelChecker(model, universe)
         hits = checker.states_where(formula)
         if hits:

@@ -63,34 +63,44 @@ class SynthesisError(Exception):
 
 @dataclass(frozen=True)
 class MoveCell:
-    """A block of action profiles that lead to the same set of live states."""
+    """A block of action profiles that lead to the same set of live states.
+
+    It merges the tableau cells of a state whose target prestates keep the
+    same surviving states; ``steps`` is the union of their committed steps.
+    """
 
     sigmas: tuple[tuple[int, ...], ...]
     targets: tuple[TState, ...]
+    steps: frozenset[StateFormula]
 
 
 def move_cells(state: TState) -> list[MoveCell]:
     """Partition the action box of ``state`` by surviving successor-state set.
 
-    Cells appear in order of their lexicographically first profile; the
-    targets of each cell are listed in creation order.
+    Cells appear in order of their lexicographically first profile and list
+    their profiles in lexicographic order; the targets of each cell are
+    listed in creation order.
     """
-    order: list[frozenset[int]] = []
-    blocks: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    reps: dict[frozenset[int], tuple[TState, ...]] = {}
-    for sigma in state.sigmas:
-        targets = tuple(state.moves[sigma].alive_states())
+    blocks: dict[
+        frozenset[int],
+        tuple[tuple[TState, ...], list[tuple[int, ...]], set[StateFormula]],
+    ] = {}
+    for cell in state.successors:
+        targets = tuple(cell.target.alive_states())
         if not targets:
             raise SynthesisError(
                 f"{state.name} has a move with no surviving successor"
             )
         key = frozenset(t.index for t in targets)
         if key not in blocks:
-            order.append(key)
-            blocks[key] = []
-            reps[key] = targets
-        blocks[key].append(sigma)
-    return [MoveCell(tuple(blocks[key]), reps[key]) for key in order]
+            blocks[key] = (targets, [], set())
+        _, sigmas, steps = blocks[key]
+        sigmas.extend(cell.sigmas)
+        steps.update(cell.steps)
+    return [
+        MoveCell(tuple(sorted(sigmas)), targets, frozenset(steps))
+        for targets, sigmas, steps in blocks.values()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +122,6 @@ class TreeNode:
 
     def edge_labels(self) -> list[tuple[tuple[int, ...], ...]]:
         return [sigmas for sigmas, _ in self.children]
-
-    def child_states(self) -> list[TState]:
-        return [child.state for _, child in self.children]
 
 
 def simple_tree(state: TState) -> TreeNode:
@@ -167,8 +174,9 @@ def witness_tree(
     component = state.linked[ev]
     ev1 = component.next_ev
     grouped: dict[int, tuple[TState, list[tuple[int, ...]]]] = {}
+    moves = state.moves
     for sigma in state.move_vectors_for(component.step):
-        targets = tuple(state.moves[sigma].alive_states())
+        targets = tuple(moves[sigma].alive_states())
         best = _best_realizer(ranks, ev1, targets)
         grouped.setdefault(best.index, (best, []))[1].append(sigma)
     children = [
@@ -209,10 +217,9 @@ def _realize(
         return TreeNode(state, ev, simple_tree(state).children)
     component = state.linked[ev]
     ev1 = component.next_ev
-    committed = set(state.move_vectors_for(component.step))
     children: list[tuple[tuple[tuple[int, ...], ...], TreeNode]] = []
     for cell in move_cells(state):
-        if committed.intersection(cell.sigmas):
+        if component.step in cell.steps:
             target = _best_realizer(ranks, ev1, cell.targets)
             child = _realize(tab, ranks, ev1, target, at_root=False)
         else:
@@ -376,7 +383,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
 
     structure = HintikkaStructure(tab, rows, nodes, root)
     for node in structure.alive_nodes():
-        if set(node.edges) != set(node.state.sigmas):
+        if node.edges.keys() != node.state.moves.keys():
             raise SynthesisError(
                 f"node {node.nid} does not cover the action box of"
                 f" {node.state.name}"
@@ -420,8 +427,8 @@ def extract_cgm(structure: HintikkaStructure) -> CGM:
             )
         fanout = len(node.state.enf_steps) + len(node.state.unav_steps)
         action_counts.append((fanout,) * k)
-        for sigma in node.state.sigmas:
-            transitions[(i, sigma)] = index[node.edges[sigma].nid]
+        for sigma, child in node.edges.items():
+            transitions[(i, sigma)] = index[child.nid]
         hintikka[str(i)] = [to_text(f) for f in sorted(label)]
 
     model = CGM(

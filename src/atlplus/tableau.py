@@ -7,10 +7,11 @@ state reads off its single-step quantified formulas and spins one move
 vector per joint choice of the agents, each leading to a prestate that
 collects the payloads the vector commits to.
 
-Elimination first dissolves prestates (every move then leads to the
-states of its target prestate) and then repeatedly removes states that
-either lost all successors for some move vector or contain a quantified
-path formula whose eventualities can no longer be realized.  The input is
+Each state stores its move vectors grouped into cells, one per set of
+successor formulas the vectors commit to; a move leads to the states of
+its cell's target prestate.  Elimination repeatedly removes states that
+either lost all successors for some cell or contain a quantified path
+formula whose eventualities can no longer be realized.  The input is
 satisfiable exactly when a state containing it survives.
 """
 
@@ -59,21 +60,51 @@ class Prestate:
 
 
 @dataclass
+class Cell:
+    """The move vectors of one state that commit to exactly ``steps``.
+
+    ``steps`` is the set of the state's successor formulas the vectors
+    commit to, and ``target`` the prestate of their payloads.  Distinct
+    step sets may share a target.  A synthesis ``MoveCell`` is coarser:
+    it merges cells whose targets have the same surviving states.
+    """
+
+    target: Prestate
+    steps: frozenset[StateFormula]
+    sigmas: list[tuple[int, ...]]
+
+
+@dataclass
 class TState:
+    """A saturated node; ``successors`` holds its move vectors as cells.
+
+    The cells appear in order of their first move vector, and each lists
+    its vectors in lexicographic order.
+    """
+
     index: int
     label: frozenset[StateFormula]
     linked: dict[StateFormula, GammaComponent]
     enf_steps: list[StateFormula] = field(default_factory=list)
     unav_steps: list[StateFormula] = field(default_factory=list)
-    enf_positions: list[frozenset[int]] = field(default_factory=list)
-    unav_positions: list[frozenset[int]] = field(default_factory=list)
-    sigmas: list[tuple[int, ...]] = field(default_factory=list)
-    moves: dict[tuple[int, ...], Prestate] = field(default_factory=dict)
+    successors: list[Cell] = field(default_factory=list)
     alive: bool = True
 
     @property
     def name(self) -> str:
         return f"D{self.index}"
+
+    @property
+    def sigmas(self) -> list[tuple[int, ...]]:
+        """Every move vector, in lexicographic order."""
+        return sorted(self.moves)
+
+    @property
+    def moves(self) -> dict[tuple[int, ...], Prestate]:
+        """Each move vector's target prestate."""
+        return {
+            sigma: cell.target for cell in self.successors for sigma in cell.sigmas
+        }
 
     def sorted_label(self) -> tuple[StateFormula, ...]:
         return tuple(sorted(self.label, key=lambda g: g.key))
@@ -84,32 +115,21 @@ class TState:
     def cells(self) -> list[tuple[Prestate, list[tuple[int, ...]]]]:
         """Move vectors grouped by target prestate, in first-vector order."""
         grouped: dict[int, tuple[Prestate, list[tuple[int, ...]]]] = {}
-        for sigma in self.sigmas:
-            pre = self.moves[sigma]
-            if pre.index not in grouped:
-                grouped[pre.index] = (pre, [])
-            grouped[pre.index][1].append(sigma)
+        for cell in self.successors:
+            pre = cell.target
+            grouped.setdefault(pre.index, (pre, []))[1].extend(cell.sigmas)
         return list(grouped.values())
 
     def move_vectors_for(self, step: StateFormula) -> list[tuple[int, ...]]:
         """The move vectors committed to the given successor formula."""
-        m = len(self.enf_steps)
-        if step in self.enf_steps:
-            p = self.enf_steps.index(step)
-            positions = self.enf_positions[p]
-            return [s for s in self.sigmas if all(s[i] == p for i in positions)]
-        if step in self.unav_steps:
-            q = self.unav_steps.index(step)
-            outside = frozenset(range(len(self.sigmas[0]))) - self.unav_positions[q]
-            l = len(self.unav_steps)
-            out = []
-            for s in self.sigmas:
-                responders = {i for i, v in enumerate(s) if v >= m}
-                co = sum(s[i] - m for i in responders) % l
-                if co == q and outside <= responders:
-                    out.append(s)
-            return out
-        raise FormulaError(f"{step!r} is not a successor formula of {self.name}")
+        if step not in self.enf_steps and step not in self.unav_steps:
+            raise FormulaError(f"{step!r} is not a successor formula of {self.name}")
+        return sorted(
+            sigma
+            for cell in self.successors
+            if step in cell.steps
+            for sigma in cell.sigmas
+        )
 
 
 @dataclass
@@ -138,9 +158,6 @@ class Tableau:
 
     def alive_states(self) -> list[TState]:
         return [s for s in self.states if s.alive]
-
-    def state_successors(self, state: TState, sigma: tuple[int, ...]) -> list[TState]:
-        return state.moves[sigma].alive_states()
 
     def satisfying_states(self) -> list[TState]:
         return [s for s in self.alive_states() if self.input in s.label]
@@ -191,57 +208,59 @@ def _is_step(g: StateFormula) -> bool:
 
 
 def _apply_next(tab: Tableau, state: TState, get_prestate) -> None:
-    """One move vector per joint agent choice; each commits some payloads."""
+    """Group the joint agent choices into cells by the steps they commit to.
+
+    A vector commits to an enforceable step when its whole coalition picks
+    that step's index, and to the unavoidable step selected by the co-sum of
+    the responders' choices when every agent outside its coalition responds.
+    """
     universe = tab.universe
     k = len(universe)
     pos = {a: i for i, a in enumerate(universe)}
     state.enf_steps = sorted(
         (g for g in state.label if isinstance(g, Enf) and isinstance(g.path, Next)),
-        key=lambda g: g.path.state.key,
+        key=lambda g: (g.path.state.key, g.key),
     )
     state.unav_steps = sorted(
         (g for g in state.label if isinstance(g, Unav) and isinstance(g.path, Next)),
-        key=lambda g: g.path.state.key,
+        key=lambda g: (g.path.state.key, g.key),
     )
-    state.enf_positions = [
-        frozenset(pos[a] for a in g.coalition) for g in state.enf_steps
-    ]
-    state.unav_positions = [
-        frozenset(pos[a] for a in g.coalition) for g in state.unav_steps
-    ]
+    steps = state.enf_steps + state.unav_steps
+    enf_positions = [frozenset(pos[a] for a in g.coalition) for g in state.enf_steps]
     m = len(state.enf_steps)
     l = len(state.unav_steps)
     all_positions = frozenset(range(k))
+    unav_outside = [
+        all_positions - {pos[a] for a in g.coalition} for g in state.unav_steps
+    ]
+    cells: dict[int, Cell] = {}
     for sigma in itertools.product(range(m + l), repeat=k):
-        payloads: dict[StateFormula, None] = {}
-        for p, g in enumerate(state.enf_steps):
-            if all(sigma[i] == p for i in state.enf_positions[p]):
-                payloads[g.path.state] = None
+        key = 0
+        for p, positions in enumerate(enf_positions):
+            if all(sigma[i] == p for i in positions):
+                key |= 1 << p
         if l:
             responders = {i for i in all_positions if sigma[i] >= m}
             co = sum(sigma[i] - m for i in responders) % l
-            if all_positions - state.unav_positions[co] <= responders:
-                payloads[state.unav_steps[co].path.state] = None
-        target = frozenset(payloads) if payloads else frozenset({TRUE})
-        pre = get_prestate(target)
-        state.sigmas.append(sigma)
-        state.moves[sigma] = pre
-
-
-def eliminate_prestates(tab: Tableau) -> Tableau:
-    """Dissolve prestates: every move now leads to the states of its target."""
-    tab.phase = "initial"
-    return tab
+            if unav_outside[co] <= responders:
+                key |= 1 << (m + co)
+        cell = cells.get(key)
+        if cell is None:
+            committed = [g for b, g in enumerate(steps) if key >> b & 1]
+            payloads = frozenset([g.path.state for g in committed])
+            target = get_prestate(payloads or frozenset({TRUE}))
+            cell = cells[key] = Cell(target, frozenset(committed), [])
+        cell.sigmas.append(sigma)
+    state.successors = list(cells.values())
 
 
 def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
     """Breadth-first ranks for (state, quantified-path-formula) pairs.
 
     Rank 0 pairs are discharged by the label alone.  A pair earns a finite
-    rank when every move vector committed to its linked successor formula
-    reaches, in every case, some surviving state where the re-quantified
-    remainder has a strictly smaller rank.  Pairs that never earn a rank
-    are unrealizable.
+    rank when every cell committed to its linked successor formula reaches
+    some surviving state where the re-quantified remainder has a strictly
+    smaller rank.  Pairs that never earn a rank are unrealizable.
     """
     alive = tab.alive_states()
     pairs: list[tuple[TState, StateFormula]] = [
@@ -263,15 +282,14 @@ def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
             if component.step is None:
                 continue  # dischargeable only locally, and the label said no
             ev1 = component.next_ev
-            ok = True
-            for sigma in s.move_vectors_for(component.step):
-                targets = s.moves[sigma].alive_states()
-                if not any(
-                    rank.get((t.index, ev1), level) < level for t in targets
-                ):
-                    ok = False
-                    break
-            if ok:
+            if all(
+                any(
+                    rank.get((t.index, ev1), level) < level
+                    for t in cell.target.alive_states()
+                )
+                for cell in s.successors
+                if component.step in cell.steps
+            ):
                 rank[(s.index, g)] = level
                 changed = True
     return rank
@@ -282,7 +300,8 @@ def eliminate_states(tab: Tableau) -> list[dict[str, list[int]]]:
 
     Each round recomputes realization ranks on the current survivors, then
     removes every state with an unrealizable pair, then every state left
-    with a dead move vector.  The trace records the removals per round.
+    with a cell whose target prestate has no live state.  The trace records
+    the removals per round.
     """
     trace: list[dict[str, list[int]]] = []
     while True:
@@ -298,7 +317,7 @@ def eliminate_states(tab: Tableau) -> list[dict[str, list[int]]]:
         removed_stuck = [
             s
             for s in tab.alive_states()
-            if any(not tab.state_successors(s, sigma) for sigma in s.sigmas)
+            if any(not cell.target.alive_states() for cell in s.successors)
         ]
         for s in removed_stuck:
             s.alive = False
@@ -325,10 +344,6 @@ class Decision:
     pretableau_prestate_count: int
     final_state_count: int
 
-    @property
-    def eliminated_state_count(self) -> int:
-        return self.pretableau_state_count - self.final_state_count
-
 
 def decide(
     f: StateFormula,
@@ -340,7 +355,6 @@ def decide(
     tab = build_pretableau(f, universe)
     n_states = len(tab.states)
     n_prestates = len(tab.prestates)
-    eliminate_prestates(tab)
     eliminate_states(tab)
     sat = bool(tab.satisfying_states())
     return Decision(
@@ -395,9 +409,9 @@ def tableau_dot(tab: Tableau, phase: str) -> str:
             for state in pre.states:
                 lines.append(f'  {pre.name} -> {state.name} [color="black:black"];')
         for state in tab.states:
-            for sigma in state.sigmas:
+            for sigma, pre in sorted(state.moves.items()):
                 lines.append(
-                    f"  {state.name} -> {state.moves[sigma].name} "
+                    f"  {state.name} -> {pre.name} "
                     f'[label="{_sigma_text(sigma)}"];'
                 )
     else:
@@ -409,8 +423,8 @@ def tableau_dot(tab: Tableau, phase: str) -> str:
                 f'{_formula_lines(state.sorted_label())}"];'
             )
         for state in keep:
-            for sigma in state.sigmas:
-                for target in state.moves[sigma].states:
+            for sigma, pre in sorted(state.moves.items()):
+                for target in pre.states:
                     if target.index in kept:
                         lines.append(
                             f"  {state.name} -> {target.name} "

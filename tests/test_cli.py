@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,14 @@ def test_check_rejects_malformed_formulas(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_check_reports_a_crash_as_internal_error_not_unsat(capsys):
+    code = run_cli("check", "~" * 3000 + "p")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: RecursionError: ")
+    assert err.count("\n") == 1
 
 
 def test_check_honors_the_closure_budget(capsys):
@@ -138,6 +147,22 @@ def test_export_emits_dot(phase, capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert out.rstrip().endswith("}")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = {
+    "four_step": "<<1>>X a & <<1,2>>X b & [[2]]X c & [[1]]X d",
+    "open": SAT_INPUT,
+}
+
+
+@pytest.mark.parametrize("phase", ["pretableau", "initial", "final"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_export_dot_matches_golden(name, phase, capsys):
+    code = run_cli("export", GOLDEN_INPUTS[name], "--dot", phase)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_{phase}.dot").read_text(encoding="utf-8")
 
 
 def test_export_final_omits_eliminated_states(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from atlplus.checker import ModelChecker
 from atlplus.enumeration import (
-    bounded_models,
     enumerate_cgms,
     find_bounded_model,
     sample_cgm,
@@ -105,13 +104,6 @@ def test_find_bounded_model_needs_enough_states():
     assert find_bounded_model(f, (1,), ("p", "q"), max_states=2) is None
     found = find_bounded_model(f, (1,), ("p", "q"), max_states=3)
     assert found is not None
-
-
-def test_bounded_models_delegates_to_the_enumerator():
-    f = to_nnf(parse("<<1>>F p"), (1,))
-    assert bounded_models(f, (1,), ("p",), 2, 2) is enumerate_cgms(
-        1, ("p",), 2, 2
-    )
 
 
 def test_sample_cgm_is_seeded_and_in_bounds():

@@ -132,20 +132,53 @@ def test_next_rule_sixteen_row_table():
         assert got == want, f"profile {sigma}: {got} != {want}"
 
 
-def test_move_vectors_for_successor_formulas():
-    f = to_nnf(parse("<<1>>X a & <<1,2>>X b & [[2]]X c & [[1]]X d"), (1, 2))
+@pytest.mark.parametrize(
+    "text, committed, cells",
+    [
+        (
+            "<<1>>X a & <<1,2>>X b & [[2]]X c & [[1]]X d",
+            {
+                "<<1>>X a": [(0, 0), (0, 1), (0, 2), (0, 3)],
+                "<<1,2>>X b": [(1, 1)],
+                "[[2]]X c": [(2, 0), (2, 1), (2, 2), (3, 3)],
+                "[[1]]X d": [(0, 3), (1, 3), (2, 3), (3, 2)],
+            },
+            None,
+        ),
+        (
+            # Both steps share the payload p, so the vectors committed to
+            # either one still lead to the single prestate {p}.
+            "<<1>>X p & [[2]]X p",
+            {
+                "<<1>>X p": [(0, 0), (0, 1)],
+                "[[2]]X p": [(1, 0), (1, 1)],
+            },
+            [({"p"}, [(0, 0), (0, 1), (1, 0), (1, 1)])],
+        ),
+    ],
+    ids=["four_step", "shared_payload"],
+)
+def test_move_vectors_for_successor_formulas(text, committed, cells):
+    f = to_nnf(parse(text), (1, 2))
     tab = build_pretableau(f, (1, 2))
     d1 = tab.states[0]
-    assert sorted(d1.move_vectors_for(d1.enf_steps[0])) == [
-        (0, 0), (0, 1), (0, 2), (0, 3),
-    ]
-    assert sorted(d1.move_vectors_for(d1.enf_steps[1])) == [(1, 1)]
-    assert sorted(d1.move_vectors_for(d1.unav_steps[0])) == [
-        (2, 0), (2, 1), (2, 2), (3, 3),
-    ]
-    assert sorted(d1.move_vectors_for(d1.unav_steps[1])) == [
-        (0, 3), (1, 3), (2, 3), (3, 2),
-    ]
+    steps = d1.enf_steps + d1.unav_steps
+    assert {
+        to_text(g): sorted(d1.move_vectors_for(g)) for g in steps
+    } == committed
+    if cells is not None:
+        assert [
+            ({to_text(g) for g in pre.label}, sorted(sigmas))
+            for pre, sigmas in d1.cells()
+        ] == cells
+
+
+def test_steps_sharing_a_payload_are_ordered_by_formula():
+    # Formulas hash by identity, so the label set iterates in an order that
+    # varies between processes; a payload tie must not fall back to it.
+    f = to_nnf(parse("<<1>>X p & <<1,2>>X p"), (1, 2))
+    d1 = build_pretableau(f, (1, 2)).states[0]
+    assert [to_text(g) for g in d1.enf_steps] == ["<<1,2>>X p", "<<1>>X p"]
 
 
 # ---------------------------------------------------------------------------
