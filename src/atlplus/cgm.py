@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ModelFormatError(Exception):
@@ -30,19 +30,10 @@ class CGM:
     transitions: dict[tuple[int, tuple[int, ...]], int]
     initial: int
     hintikka: dict[str, list[str]] | None = None
-    _index: dict[StateId, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {sid: i for i, sid in enumerate(self.ids)}
 
     @property
     def n_states(self) -> int:
         return len(self.ids)
-
-    def index_of(self, sid: StateId) -> int:
-        if sid not in self._index:
-            raise ModelFormatError(f"unknown state id {sid!r}")
-        return self._index[sid]
 
     def profiles(self, state: int) -> list[tuple[int, ...]]:
         return list(
@@ -177,20 +168,3 @@ class CGM:
         if not isinstance(data, dict):
             raise ModelFormatError("model JSON must be an object")
         return cls.from_json_dict(data)
-
-    # ------------------------------------------------------------------
-    # DOT rendering
-
-    def to_dot(self) -> str:
-        lines = ["digraph model {", "  rankdir=LR;", "  node [shape=circle];"]
-        for i, sid in enumerate(self.ids):
-            shape = "doublecircle" if i == self.initial else "circle"
-            props = ",".join(sorted(self.props[i])) or "-"
-            lines.append(f'  s{i} [shape={shape} label="{sid}\\n{props}"];')
-        for s in range(self.n_states):
-            for profile in self.profiles(s):
-                target = self.transitions[(s, profile)]
-                text = ",".join(str(a) for a in profile)
-                lines.append(f'  s{s} -> s{target} [label="{text}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"

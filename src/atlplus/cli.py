@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cgm import CGM, ModelFormatError
 from .checker import CheckError, check_model
-from .decomposition import DEFAULT_CLOSURE_LIMIT, ClosureLimitError, dec
+from .decomposition import DEFAULT_CLOSURE_LIMIT, dec
 from .randgen import GenConfig, random_corpus
 from .syntax import (
     TRUE,
@@ -417,13 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ClosureLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (FormulaError, ModelFormatError, CheckError, SynthesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (FormulaError, ModelFormatError, CheckError, SynthesisError, OSError) as exc:
+        # FormulaError covers ClosureLimitError, the closure budget.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a crash must never read as a verdict

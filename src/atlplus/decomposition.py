@@ -232,10 +232,6 @@ class GammaComponent:
     step: StateFormula | None
     rendered: StateFormula
 
-    def describe(self) -> str:
-        later = "-" if self.next_ev is None else self.next_ev.key
-        return f"now={self.now.key} next={later}"
-
 
 _GAMMA_CACHE: dict[StateFormula, tuple[GammaComponent, ...]] = {}
 

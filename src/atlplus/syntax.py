@@ -311,30 +311,12 @@ def por(a: PathFormula, b: PathFormula) -> PathFormula:
 
 def mentioned_agents(f: StateFormula) -> frozenset[int]:
     """All agents occurring in coalitions anywhere in ``f``."""
-    out: set[int] = set()
-
-    def walk_state(g: StateFormula) -> None:
-        if isinstance(g, (And, Or, Implies)):
-            walk_state(g.lhs)
-            walk_state(g.rhs)
-        elif isinstance(g, Not):
-            walk_state(g.sub)
-        elif isinstance(g, (Enf, Unav)):
-            out.update(g.coalition)
-            walk_path(g.path)
-
-    def walk_path(p: PathFormula) -> None:
-        if isinstance(p, (St, Next, Always, Sometime)):
-            walk_state(p.state)
-        elif isinstance(p, (Until, Release)):
-            walk_state(p.lhs)
-            walk_state(p.rhs)
-        elif isinstance(p, (PAnd, POr)):
-            walk_path(p.lhs)
-            walk_path(p.rhs)
-
-    walk_state(f)
-    return frozenset(out)
+    return frozenset(
+        a
+        for g in iter_state_subformulas(f)
+        if isinstance(g, (Enf, Unav))
+        for a in g.coalition
+    )
 
 
 def default_universe(f: StateFormula) -> tuple[int, ...]:
@@ -344,31 +326,8 @@ def default_universe(f: StateFormula) -> tuple[int, ...]:
 
 
 def mentioned_props(f: StateFormula) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk_state(g: StateFormula) -> None:
-        if isinstance(g, Lit):
-            out.add(g.name)
-        elif isinstance(g, (And, Or, Implies)):
-            walk_state(g.lhs)
-            walk_state(g.rhs)
-        elif isinstance(g, Not):
-            walk_state(g.sub)
-        elif isinstance(g, (Enf, Unav)):
-            walk_path(g.path)
-
-    def walk_path(p: PathFormula) -> None:
-        if isinstance(p, (St, Next, Always, Sometime)):
-            walk_state(p.state)
-        elif isinstance(p, (Until, Release)):
-            walk_state(p.lhs)
-            walk_state(p.rhs)
-        elif isinstance(p, (PAnd, POr)):
-            walk_path(p.lhs)
-            walk_path(p.rhs)
-
-    walk_state(f)
-    return frozenset(out)
+    """All propositions occurring anywhere in ``f``."""
+    return frozenset(g.name for g in iter_state_subformulas(f) if isinstance(g, Lit))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Surviving tableau states are arranged into move-partition trees (one child
 per group of action profiles sharing a successor-state set), the trees are
 glued into a finite deterministic structure that realizes every eventuality,
-and the structure is projected to a concurrent game model.  The saturated
+and the structure is projected to a concurrent game model.  A realizing
+tree is an eventuality's witness tree, routed by the realization ranks
+elimination stored on the tableau, completed to full arity.  Dead ends left
+after gluing are closed off in one forward pass in node order.  The saturated
 formula labels travel along as annotations so the result can be re-validated
 independently of the tableau that produced it.
 """
@@ -34,7 +37,7 @@ from .syntax import (
     to_nnf,
     to_text,
 )
-from .tableau import Tableau, TState, _unconditional_step, realization_fixpoint
+from .tableau import Tableau, TState, _unconditional_step
 
 __all__ = [
     "SynthesisError",
@@ -66,12 +69,11 @@ class MoveCell:
     """A block of action profiles that lead to the same set of live states.
 
     It merges the tableau cells of a state whose target prestates keep the
-    same surviving states; ``steps`` is the union of their committed steps.
+    same surviving states.
     """
 
     sigmas: tuple[tuple[int, ...], ...]
     targets: tuple[TState, ...]
-    steps: frozenset[StateFormula]
 
 
 def move_cells(state: TState) -> list[MoveCell]:
@@ -81,10 +83,7 @@ def move_cells(state: TState) -> list[MoveCell]:
     their profiles in lexicographic order; the targets of each cell are
     listed in creation order.
     """
-    blocks: dict[
-        frozenset[int],
-        tuple[tuple[TState, ...], list[tuple[int, ...]], set[StateFormula]],
-    ] = {}
+    blocks: dict[frozenset[int], tuple[tuple[TState, ...], list[tuple[int, ...]]]] = {}
     for cell in state.successors:
         targets = tuple(cell.target.alive_states())
         if not targets:
@@ -92,14 +91,9 @@ def move_cells(state: TState) -> list[MoveCell]:
                 f"{state.name} has a move with no surviving successor"
             )
         key = frozenset(t.index for t in targets)
-        if key not in blocks:
-            blocks[key] = (targets, [], set())
-        _, sigmas, steps = blocks[key]
-        sigmas.extend(cell.sigmas)
-        steps.update(cell.steps)
+        blocks.setdefault(key, (targets, []))[1].extend(cell.sigmas)
     return [
-        MoveCell(tuple(sorted(sigmas)), targets, frozenset(steps))
-        for targets, sigmas, steps in blocks.values()
+        MoveCell(tuple(sorted(sigmas)), targets) for targets, sigmas in blocks.values()
     ]
 
 
@@ -124,108 +118,89 @@ class TreeNode:
         return [sigmas for sigmas, _ in self.children]
 
 
-def simple_tree(state: TState) -> TreeNode:
-    """Depth-1 tree: one leaf per move cell, colored with its first target."""
-    children = [
-        (cell.sigmas, TreeNode(cell.targets[0], None, []))
-        for cell in move_cells(state)
-    ]
-    return TreeNode(state, None, children)
+def _final_ranks(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
+    """Realization ranks of the surviving states.
+
+    Elimination's last round computed them on exactly the survivors and
+    then removed nothing, so they are final.
+    """
+    if tab.phase != "final":
+        raise SynthesisError("synthesis requires a fully eliminated tableau")
+    return tab.realization
 
 
-def _require_rank(
-    ranks: dict[tuple[int, StateFormula], int], ev: StateFormula, state: TState
-) -> int:
-    rank = ranks.get((state.index, ev))
-    if rank is None:
-        raise SynthesisError(f"{ev!r} is not realized at {state.name}")
-    return rank
-
-
-def _best_realizer(
-    ranks: dict[tuple[int, StateFormula], int],
-    ev1: StateFormula,
-    targets: tuple[TState, ...],
-) -> TState:
-    ranked = [t for t in targets if (t.index, ev1) in ranks]
-    if not ranked:
-        raise SynthesisError(f"no successor realizes {ev1!r}")
-    return min(ranked, key=lambda t: (ranks[(t.index, ev1)], t.index))
-
-
-def witness_tree(
-    tab: Tableau,
-    ev: StateFormula,
-    state: TState,
-    ranks: dict[tuple[int, StateFormula], int] | None = None,
-) -> TreeNode:
+def witness_tree(tab: Tableau, ev: StateFormula, state: TState) -> TreeNode:
     """Minimal tree certifying that ``ev`` is realized starting at ``state``.
 
     Rank zero yields a single node.  Otherwise every profile committed to the
     linked successor formula is routed to a surviving successor of minimal
     rank (ties to the oldest state) for the re-quantified remainder, and the
-    construction recurses with strictly decreasing rank.
+    construction recurses with strictly decreasing rank.  Children appear in
+    order of their first profile and list their profiles in lexicographic
+    order.
     """
-    if ranks is None:
-        ranks = realization_fixpoint(tab)
-    rank = _require_rank(ranks, ev, state)
-    if rank == 0:
-        return TreeNode(state, ev, [])
-    component = state.linked[ev]
-    ev1 = component.next_ev
-    grouped: dict[int, tuple[TState, list[tuple[int, ...]]]] = {}
-    moves = state.moves
-    for sigma in state.move_vectors_for(component.step):
-        targets = tuple(moves[sigma].alive_states())
-        best = _best_realizer(ranks, ev1, targets)
-        grouped.setdefault(best.index, (best, []))[1].append(sigma)
-    children = [
-        (tuple(sigmas), witness_tree(tab, ev1, target, ranks))
-        for target, sigmas in grouped.values()
-    ]
-    return TreeNode(state, ev, children)
+    ranks = _final_ranks(tab)
+
+    def build(ev: StateFormula, state: TState) -> TreeNode:
+        rank = ranks.get((state.index, ev))
+        if rank is None:
+            raise SynthesisError(f"{ev!r} is not realized at {state.name}")
+        if rank == 0:
+            return TreeNode(state, ev, [])
+        component = state.linked[ev]
+        ev1 = component.next_ev
+        grouped: dict[int, tuple[TState, list[tuple[int, ...]]]] = {}
+        for cell in state.successors:
+            if component.step not in cell.steps:
+                continue
+            ranked = [t for t in cell.target.alive_states() if (t.index, ev1) in ranks]
+            if not ranked:
+                raise SynthesisError(f"no successor realizes {ev1!r}")
+            best = min(ranked, key=lambda t: (ranks[(t.index, ev1)], t.index))
+            grouped.setdefault(best.index, (best, []))[1].extend(cell.sigmas)
+        groups = sorted((sorted(sigmas), target) for target, sigmas in grouped.values())
+        return TreeNode(
+            state,
+            ev,
+            [(tuple(sigmas), build(ev1, target)) for sigmas, target in groups],
+        )
+
+    return build(ev, state)
 
 
-def realizing_tree(
-    tab: Tableau,
-    ev: StateFormula,
-    state: TState,
-    ranks: dict[tuple[int, StateFormula], int] | None = None,
-) -> TreeNode:
-    """Witness tree completed to full arity.
+def _complete(node: TreeNode) -> TreeNode:
+    """Give ``node`` and its interior descendants one child per move cell.
+
+    A cell holding a profile of one of the node's children keeps that child,
+    completed in turn; every other cell gets a leaf colored with its oldest
+    target.  All profiles of one cell reach the same surviving states, so a
+    cell holds the profiles of at most one child.
+    """
+    by_sigma = {sigma: child for sigmas, child in node.children for sigma in sigmas}
+    children: list[tuple[tuple[tuple[int, ...], ...], TreeNode]] = []
+    for cell in move_cells(node.state):
+        child = next((by_sigma[s] for s in cell.sigmas if s in by_sigma), None)
+        if child is None:
+            child = TreeNode(cell.targets[0], None, [])
+        elif child.children:
+            child = _complete(child)
+        children.append((cell.sigmas, child))
+    return TreeNode(node.state, node.eventuality, children)
+
+
+def simple_tree(state: TState) -> TreeNode:
+    """Depth-1 tree: one leaf per move cell, colored with its first target."""
+    return _complete(TreeNode(state, None, []))
+
+
+def realizing_tree(tab: Tableau, ev: StateFormula, state: TState) -> TreeNode:
+    """The witness tree completed to full arity.
 
     Every interior node (and the root) gets exactly one child per move cell:
-    cells intersecting the committed profiles keep the witness subtree, the
-    remaining cells get a leaf colored with their oldest target.
+    cells holding committed profiles keep the witness subtree, the remaining
+    cells get a leaf colored with their oldest target.
     """
-    if ranks is None:
-        ranks = realization_fixpoint(tab)
-    return _realize(tab, ranks, ev, state, at_root=True)
-
-
-def _realize(
-    tab: Tableau,
-    ranks: dict[tuple[int, StateFormula], int],
-    ev: StateFormula,
-    state: TState,
-    at_root: bool,
-) -> TreeNode:
-    rank = _require_rank(ranks, ev, state)
-    if rank == 0 and not at_root:
-        return TreeNode(state, ev, [])
-    if rank == 0:
-        return TreeNode(state, ev, simple_tree(state).children)
-    component = state.linked[ev]
-    ev1 = component.next_ev
-    children: list[tuple[tuple[tuple[int, ...], ...], TreeNode]] = []
-    for cell in move_cells(state):
-        if component.step in cell.steps:
-            target = _best_realizer(ranks, ev1, cell.targets)
-            child = _realize(tab, ranks, ev1, target, at_root=False)
-        else:
-            child = TreeNode(cell.targets[0], None, [])
-        children.append((cell.sigmas, child))
-    return TreeNode(state, ev, children)
+    return _complete(witness_tree(tab, ev, state))
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +235,14 @@ class HintikkaStructure:
     def alive_nodes(self) -> list[HNode]:
         return [n for n in self.nodes if n.alive]
 
-    def label(self, node: HNode) -> frozenset[StateFormula]:
-        return node.state.label
-
 
 def eventuality_rows(tab: Tableau) -> list[StateFormula]:
     """Eventualities of the surviving states, in order of first appearance."""
-    rows: list[StateFormula] = []
-    for state in tab.alive_states():
-        for ev in state.gamma_formulas():
-            if ev not in rows:
-                rows.append(ev)
-    return rows
+    return list(
+        dict.fromkeys(
+            ev for state in tab.alive_states() for ev in state.gamma_formulas()
+        )
+    )
 
 
 def pending_rows(rows: list[StateFormula], state: TState) -> list[int]:
@@ -295,8 +266,9 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     the input is itself an eventuality and at the first row otherwise; the
     root is the oldest surviving state containing the input.  One pass over
     the queue expands every dead end with the current row's tree for the
-    dead end's state.  Remaining dead ends are then closed off, oldest
-    first.  A dead end whose state still defers some eventuality continues
+    dead end's state.  Remaining dead ends are then closed off in one
+    forward pass in node order, which also visits the nodes that grafting
+    appends.  A dead end whose state still defers some eventuality continues
     the row cycle restricted to the deferred rows: it reuses that exact
     (row, state) component when one already occurs and grafts it otherwise,
     so every play keeps meeting the realizing component of every obligation
@@ -304,25 +276,24 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     oldest-row component of its state already present, grafting the next
     row's component when none exists yet.
     """
-    if tab.phase != "final":
-        raise SynthesisError("synthesis requires a fully eliminated tableau")
+    _final_ranks(tab)
     candidates = tab.satisfying_states()
     if not candidates:
         raise SynthesisError("input is unsatisfiable; nothing to synthesize")
-    ranks = realization_fixpoint(tab)
     rows = eventuality_rows(tab)
     n_rows = len(rows)
 
     def tree_for(ev: StateFormula | None, state: TState) -> TreeNode:
         if ev is not None and ev in state.label:
-            return realizing_tree(tab, ev, state, ranks)
+            return realizing_tree(tab, ev, state)
         return simple_tree(state)
 
     eta = tab.input
     start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
 
     nodes: list[HNode] = []
-    component_roots: dict[int, list[tuple[int, HNode]]] = {}
+    # state index -> {row: the first component grafted for that row}
+    component_roots: dict[int, dict[int, HNode]] = {}
 
     def new_node(state: TState) -> HNode:
         node = HNode(nid=len(nodes) + 1, state=state)
@@ -341,8 +312,8 @@ def assemble(tab: Tableau) -> HintikkaStructure:
 
     def graft(node: HNode, row_index: int, ev: StateFormula | None) -> None:
         node.row = row_index
-        component_roots.setdefault(node.state.index, []).append(
-            (row_index, node)
+        component_roots.setdefault(node.state.index, {}).setdefault(
+            row_index, node
         )
         graft_children(node, tree_for(ev, node.state), row_index)
 
@@ -359,24 +330,22 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         for node in [n for n in nodes if n.alive and n.is_dead_end()]:
             graft(node, row_index, rows[row_index])
 
-    while True:
-        dead = [n for n in nodes if n.alive and n.is_dead_end()]
-        if not dead:
-            break
-        node = dead[0]
-        present = component_roots.get(node.state.index, [])
+    # Edges are never removed, dead nodes never revive and grafting only
+    # appends, so the node reached here is always the oldest open dead end.
+    for node in nodes:
+        if not node.alive or not node.is_dead_end():
+            continue
+        present = component_roots.get(node.state.index, {})
         deferred = pending_rows(rows, node.state)
         if deferred:
-            offsets = sorted(deferred, key=lambda i: (i - node.row - 1) % n_rows)
-            row_index = offsets[0]
-            match = next((n for r, n in present if r == row_index), None)
+            row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
+            match = present.get(row_index)
             if match is not None:
                 redirect(node, match)
             else:
                 graft(node, row_index, rows[row_index])
         elif present:
-            _, target = min(present, key=lambda pair: pair[0])
-            redirect(node, target)
+            redirect(node, present[min(present)])
         else:
             row_index = (node.row + 1) % n_rows if n_rows else 0
             graft(node, row_index, rows[row_index] if rows else None)

@@ -152,10 +152,6 @@ class Tableau:
     def k(self) -> int:
         return len(self.universe)
 
-    @property
-    def initial_prestate(self) -> Prestate:
-        return self.prestates[0]
-
     def alive_states(self) -> list[TState]:
         return [s for s in self.states if s.alive]
 

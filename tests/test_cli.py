@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 from atlplus.cgm import CGM
 from atlplus.cli import main
+from atlplus.randgen import GenConfig, random_corpus
+from atlplus.syntax import to_text
 
 SAT_INPUT = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
 UNSAT_INPUT = "<<1>>(p U q | G q) & <<2>>(F p & G ~q)"
@@ -163,6 +166,37 @@ def test_export_dot_matches_golden(name, phase, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}_{phase}.dot").read_text(encoding="utf-8")
+
+
+SYNTH_DIGESTS = json.loads(
+    (GOLDEN / "synth_sha256.json").read_text(encoding="utf-8")
+)
+
+
+def _synth_digests(texts, capsys):
+    """sha256 of ``synth`` stdout for every input that is SAT."""
+    digests = {}
+    for text in texts:
+        code = run_cli("synth", text)
+        out = capsys.readouterr().out
+        assert code in (0, 1), text
+        if code == 0:
+            digests[text] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_synth_matches_golden_digests_on_the_corpus(capsys):
+    # The first 100 corpus formulas reach every close-off branch of
+    # assembly: redirect and graft, with and without deferred rows.
+    corpus = random_corpus(7, 100, GenConfig(props=("p", "q")))
+    texts = [to_text(f) for f in corpus]
+    assert _synth_digests(texts, capsys) == SYNTH_DIGESTS["corpus"]
+
+
+def test_synth_matches_golden_digests_on_family_formulas(capsys):
+    # 291 and 111 model states: several agents, rows and grafted components.
+    texts = list(SYNTH_DIGESTS["family"])
+    assert _synth_digests(texts, capsys) == SYNTH_DIGESTS["family"]
 
 
 def test_export_final_omits_eliminated_states(capsys):

@@ -144,13 +144,25 @@ def test_assemble_golden_structure(open_tableau):
     }
 
 
-def test_assemble_requires_a_final_tableau(open_tableau):
+@pytest.mark.parametrize(
+    "synthesize",
+    [
+        lambda tab, ev, state: assemble(tab),
+        witness_tree,
+        realizing_tree,
+    ],
+    ids=["assemble", "witness_tree", "realizing_tree"],
+)
+def test_assemble_requires_a_final_tableau(synthesize, open_tableau):
+    # A pretableau has no realization ranks yet; every reader of them
+    # refuses it rather than build trees from an empty rank table.
     from atlplus.tableau import build_pretableau
 
     f, _ = open_tableau
     pre = build_pretableau(f, UNIVERSE)
-    with pytest.raises(SynthesisError):
-        assemble(pre)
+    d1 = pre.states[0]
+    with pytest.raises(SynthesisError, match="fully eliminated"):
+        synthesize(pre, d1.gamma_formulas()[0], d1)
 
 
 def test_assemble_rejects_unsat_tableaus():
