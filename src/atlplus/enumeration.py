@@ -5,6 +5,16 @@ verdicts: a formula declared unsatisfiable must have no model among all
 concurrent game models up to the requested size.  Models are deduplicated
 up to isomorphism (state renaming plus per-state per-agent action renaming,
 both satisfaction-preserving); labels and propositions are never permuted.
+
+Deduplication is by orbit marking, the classical method of isomorph-free
+exhaustive generation (Read 1978; McKay, J. Algorithms 1998).  Raw models
+are scanned in a fixed order (states, action counts, targets, labels); the
+first unmarked one is kept as its class representative and every image of
+it under the renaming group is marked, so each later raw model costs one
+set lookup.  Marks are bucketed by (action counts, targets): an image never
+precedes its representative in the scan, so a bucket is dropped as soon as
+the scan has visited its labelings and marks are kept only for raw models
+the scan has yet to reach.
 """
 from __future__ import annotations
 
@@ -24,48 +34,35 @@ __all__ = [
 _CACHE: dict[tuple, list[CGM]] = {}
 
 
-def _canonical_key(
-    n: int,
-    agents: int,
-    counts: tuple[tuple[int, ...], ...],
-    transitions: dict[tuple[int, tuple[int, ...]], int],
-    labels: tuple[frozenset[str], ...],
-) -> tuple:
-    """Minimal serialization over state and per-state action renamings."""
-    best = None
-    for order in itertools.permutations(range(n)):
-        # order[i] = old state placed at new position i
-        inverse = {old: new for new, old in enumerate(order)}
-        axes_choices = []
-        for old in order:
-            axes_choices.append(
-                list(
-                    itertools.product(
-                        *(
-                            itertools.permutations(range(c))
-                            for c in counts[old]
-                        )
-                    )
-                )
-            )
-        for combo in itertools.product(*axes_choices):
+def _slots(counts: tuple[tuple[int, ...], ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(state, profile) pairs in scan order: by state, then by profile."""
+    return [(s, p) for s, c in enumerate(counts) for p in itertools.product(*map(range, c))]
+
+
+def _renamings(counts: tuple[tuple[int, ...], ...]) -> list[tuple]:
+    """Every state and per-state action renaming of models with ``counts``.
+
+    Each entry is (image counts, source, rename, order): slot j of the image
+    takes the target of old slot ``source[j]`` renamed by ``rename``, and new
+    state i carries the label of old state ``order[i]``.
+    """
+    index = {slot: j for j, slot in enumerate(_slots(counts))}
+    result = []
+    for order in itertools.permutations(range(len(counts))):
+        rename = tuple(order.index(old) for old in range(len(counts)))
+        image = tuple(counts[old] for old in order)
+        per_state = [
+            itertools.product(*(itertools.permutations(range(c)) for c in counts[old]))
+            for old in order
+        ]
+        for combo in itertools.product(*per_state):
             # combo[new][agent] maps new action -> old action
-            key_counts = tuple(counts[old] for old in order)
-            key_labels = tuple(tuple(sorted(labels[old])) for old in order)
-            rows = []
-            for new, old in enumerate(order):
-                maps = combo[new]
-                for profile in itertools.product(
-                    *(range(c) for c in counts[old])
-                ):
-                    old_profile = tuple(
-                        maps[a][profile[a]] for a in range(agents)
-                    )
-                    rows.append(inverse[transitions[(old, old_profile)]])
-            key = (key_counts, key_labels, tuple(rows))
-            if best is None or key < best:
-                best = key
-    return best
+            source = tuple(
+                index[(order[new], tuple(m[a] for m, a in zip(combo[new], profile)))]
+                for new, profile in _slots(image)
+            )
+            result.append((image, source, rename, order))
+    return result
 
 
 def enumerate_cgms(
@@ -89,37 +86,33 @@ def enumerate_cgms(
         for r in range(len(props) + 1)
         for sub in itertools.combinations(sorted(props), r)
     ]
+    count_space = list(itertools.product(range(1, max_actions + 1), repeat=agents))
     models: list[CGM] = []
-    seen: set[tuple] = set()
     for n in range(1, max_states + 1):
-        count_space = list(
-            itertools.product(range(1, max_actions + 1), repeat=agents)
-        )
+        # (counts, targets) -> marked label-index tuples
+        marked: dict[tuple, set[tuple]] = {}
         for counts in itertools.product(count_space, repeat=n):
-            profile_lists = [
-                list(itertools.product(*(range(c) for c in counts[s])))
-                for s in range(n)
-            ]
-            slots = [(s, p) for s in range(n) for p in profile_lists[s]]
+            slots = _slots(counts)
+            renamings = _renamings(counts)
             for targets in itertools.product(range(n), repeat=len(slots)):
-                transitions = {
-                    slot: target for slot, target in zip(slots, targets)
-                }
-                for labels in itertools.product(label_options, repeat=n):
-                    key = _canonical_key(n, agents, counts, transitions, labels)
-                    if key in seen:
+                bucket = marked.setdefault((counts, targets), set())
+                for labels in itertools.product(range(len(label_options)), repeat=n):
+                    if labels in bucket:
                         continue
-                    seen.add(key)
+                    for image, source, rename, order in renamings:
+                        key = (image, tuple([rename[targets[j]] for j in source]))
+                        marked.setdefault(key, set()).add(tuple([labels[s] for s in order]))
                     models.append(
                         CGM(
                             agents=agents,
                             ids=list(range(n)),
-                            props=list(labels),
+                            props=[label_options[i] for i in labels],
                             action_counts=list(counts),
-                            transitions=dict(transitions),
+                            transitions=dict(zip(slots, targets)),
                             initial=0,
                         )
                     )
+                del marked[(counts, targets)]  # no later raw model has these
     _CACHE[cache_key] = models
     return models
 

@@ -610,6 +610,12 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"true", "false", "U", "R", "X", "G", "F"}
 
+# Deepest nesting of '~', 'X'/'G'/'F', quantifier operands, parentheses and
+# right-nested '->' the parser accepts.  Every later stage walks formulas
+# recursively, so deeper input is refused up front instead of overflowing
+# the interpreter stack.
+MAX_NESTING_DEPTH = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -649,6 +655,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -668,13 +675,23 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def descend(self, tok: _Token) -> None:
+        """Open the nesting level of the operand that ``tok`` starts."""
+        if self.depth == MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"formula nested deeper than {MAX_NESTING_DEPTH} levels", tok.line, tok.col
+            )
+        self.depth += 1
+
     # precedence: ~  >  U,R  >  &  >  |  >  ->
 
     def parse_implication(self) -> PathFormula:
         lhs = self.parse_or()
         if self.peek().kind == "arrow":
             tok = self.take()
+            self.descend(tok)
             rhs = self.parse_implication()
+            self.depth -= 1
             if not isinstance(lhs, St) or not isinstance(rhs, St):
                 raise ParseError(
                     "'->' connects state formulas, not path formulas", tok.line, tok.col
@@ -717,7 +734,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "tilde":
             self.take()
+            self.descend(tok)
             sub = self.parse_unary()
+            self.depth -= 1
             if not isinstance(sub, St):
                 raise ParseError(
                     "'~' negates state formulas, not path formulas", tok.line, tok.col
@@ -725,7 +744,9 @@ class _Parser:
             return st(lnot(sub.state))
         if tok.kind in ("X", "G", "F"):
             self.take()
+            self.descend(tok)
             sub = self.parse_unary()
+            self.depth -= 1
             if not isinstance(sub, St):
                 raise ParseError(
                     f"temporal operator '{tok.text}' applies to a state formula"
@@ -740,12 +761,16 @@ class _Parser:
             agents = self._parse_agents()
             close = "enfclose" if tok.kind == "enfopen" else "unavclose"
             self.expect(close, "'>>'" if close == "enfclose" else "']]'")
+            self.descend(tok)
             path = self.parse_until()
+            self.depth -= 1
             mk = enf if tok.kind == "enfopen" else unav
             return st(mk(agents, path))
         if tok.kind == "lparen":
             self.take()
+            self.descend(tok)
             node = self.parse_implication()
+            self.depth -= 1
             self.expect("rparen", "')'")
             return node
         if tok.kind == "true":

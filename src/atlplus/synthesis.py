@@ -423,12 +423,16 @@ def hintikka_labels(
     """Parse the model's label annotations back into formula sets."""
     if model.hintikka is None:
         raise SynthesisError("model carries no saturated-label annotations")
+    parsed: dict[str, StateFormula] = {}
     labels = []
     for sid in model.ids:
         texts = model.hintikka.get(str(sid))
         if texts is None:
             raise SynthesisError(f"state {sid} has no label annotation")
-        labels.append(frozenset(to_nnf(parse(t), universe) for t in texts))
+        for t in texts:
+            if t not in parsed:
+                parsed[t] = to_nnf(parse(t), universe)
+        labels.append(frozenset(parsed[t] for t in texts))
     return labels
 
 

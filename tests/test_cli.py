@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from atlplus import cli
 from atlplus.cgm import CGM
 from atlplus.cli import main
 from atlplus.randgen import GenConfig, random_corpus
-from atlplus.syntax import to_text
+from atlplus.syntax import MAX_NESTING_DEPTH, to_text
 
 SAT_INPUT = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
 UNSAT_INPUT = "<<1>>(p U q | G q) & <<2>>(F p & G ~q)"
@@ -59,12 +60,48 @@ def test_check_rejects_malformed_formulas(capsys):
     assert err.startswith("error:")
 
 
-def test_check_reports_a_crash_as_internal_error_not_unsat(capsys):
-    code = run_cli("check", "~" * 3000 + "p")
+def test_check_reports_a_crash_as_internal_error_not_unsat(capsys, monkeypatch):
+    def crash(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "decide", crash)
+    code = run_cli("check", SAT_INPUT)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "~" * 3000 + "p",
+        "(" * 2000 + "p" + ")" * 2000,
+        "<<1>>F (" * 400 + "p" + ")" * 400,
+    ],
+    ids=["negations", "parentheses", "quantifiers"],
+)
+def test_check_rejects_too_deep_nesting_as_input_error(capsys, text):
+    code = run_cli("check", text)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: formula nested deeper than {MAX_NESTING_DEPTH} levels (line 1, column ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "~" * MAX_NESTING_DEPTH + "p",
+        "(" * MAX_NESTING_DEPTH + "p" + ")" * MAX_NESTING_DEPTH,
+        "<<1>>X " * (MAX_NESTING_DEPTH // 2) + "p",
+        "[[1]]X ~" * (MAX_NESTING_DEPTH // 3 - 1) + "<<1>>X ~~p",
+    ],
+    ids=["negations", "parentheses", "quantifiers", "alternating"],
+)
+def test_nesting_at_the_depth_limit_runs_check_and_synth(capsys, text):
+    for command in ("check", "synth"):
+        assert run_cli(command, text) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 def test_check_honors_the_closure_budget(capsys):

@@ -1,7 +1,10 @@
 """Bounded model enumeration and the differential search helper."""
 
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,25 @@ def test_no_two_enumerated_models_are_isomorphic():
         )
         assert sig_swapped not in seen
         seen.add(sig)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "enumeration_sha256.json"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    json.loads(GOLDEN.read_text(encoding="utf-8")),
+    ids=lambda e: f"{e['agents']}-{''.join(e['props'])}-{e['max_states']}-{e['max_actions']}",
+)
+def test_enumeration_matches_golden_digests(entry):
+    # The digests pin the class list and its order, representatives
+    # included; find_bounded_model returns the first hit in that order.
+    ms = enumerate_cgms(
+        entry["agents"], tuple(entry["props"]), entry["max_states"], entry["max_actions"]
+    )
+    assert len(ms) == entry["classes"]
+    text = json.dumps([m.to_json_dict() for m in ms])
+    assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]
 
 
 def test_find_bounded_model_hits_a_satisfiable_formula():

@@ -11,6 +11,7 @@ from atlplus.syntax import (
     And,
     Enf,
     FormulaClass,
+    MAX_NESTING_DEPTH,
     FormulaError,
     Lit,
     Not,
@@ -102,6 +103,27 @@ def test_parse_errors():
     for bad in ["", "p &", "<<1>", "p U q", "((p)", "p q", "<<a>>X p"]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize(
+    "opener, closer, levels, offset",
+    [
+        ("~", "", 1, 0),
+        ("(", ")", 1, 0),
+        ("<<1>>X ", "", 2, 0),
+        ("[[1]](", ")", 2, 0),
+        ("p -> ", "", 1, 2),
+    ],
+)
+def test_nesting_depth_limit(opener, closer, levels, offset):
+    # Each opener nests ``levels`` deeper; the error points at the operator
+    # ``offset`` characters into the first opener past the limit.
+    ok = MAX_NESTING_DEPTH // levels
+    parse(opener * ok + "p" + closer * ok)
+    with pytest.raises(ParseError) as info:
+        parse(opener * (ok + 1) + "p" + closer * (ok + 1))
+    assert "nested deeper than" in str(info.value)
+    assert (info.value.line, info.value.col) == (1, len(opener) * ok + offset + 1)
 
 
 def test_temporal_operator_needs_quantifier():
