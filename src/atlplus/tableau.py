@@ -3,9 +3,10 @@
 The pretableau alternates two node kinds.  A *prestate* is a bare set of
 state formulas awaiting saturation; applying the saturation rule turns it
 into its full expansions, the *states*.  Applying the successor rule to a
-state reads off its single-step quantified formulas and spins one move
-vector per joint choice of the agents, each leading to a prestate that
-collects the payloads the vector commits to.
+state reads off its single-step quantified formulas; each joint choice of
+the agents, a move vector, leads to the prestate of the payloads it commits
+to.  The vectors are computed once per coalition signature (the ordered
+coalitions of the steps) and shared, read-only, by the states that have it.
 
 Each state stores its move vectors grouped into cells, one per set of
 successor formulas the vectors commit to; a move leads to the states of
@@ -67,11 +68,12 @@ class Cell:
     commit to, and ``target`` the prestate of their payloads.  Distinct
     step sets may share a target.  A synthesis ``MoveCell`` is coarser:
     it merges cells whose targets have the same surviving states.
+    ``sigmas`` is shared by the states of one coalition signature: read-only.
     """
 
     target: Prestate
     steps: frozenset[StateFormula]
-    sigmas: list[tuple[int, ...]]
+    sigmas: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -106,11 +108,14 @@ class TState:
             sigma: cell.target for cell in self.successors for sigma in cell.sigmas
         }
 
+    def __post_init__(self) -> None:
+        self._gammas = tuple(sorted(filter(is_gamma, self.label), key=lambda g: g.key))
+
     def sorted_label(self) -> tuple[StateFormula, ...]:
         return tuple(sorted(self.label, key=lambda g: g.key))
 
-    def gamma_formulas(self) -> list[StateFormula]:
-        return [g for g in self.sorted_label() if is_gamma(g)]
+    def gamma_formulas(self) -> tuple[StateFormula, ...]:
+        return self._gammas
 
     def cells(self) -> list[tuple[Prestate, list[tuple[int, ...]]]]:
         """Move vectors grouped by target prestate, in first-vector order."""
@@ -167,6 +172,7 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
     """Alternate saturation and successor rules from ``{f}`` to a fixpoint."""
     tab = Tableau(input=f, universe=universe)
     pending: deque[Prestate] = deque()
+    layouts: dict[tuple, list] = {}
 
     def get_prestate(label: frozenset[StateFormula]) -> Prestate:
         pre = tab._prestate_by_label.get(label)
@@ -193,7 +199,7 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
                 )
                 tab.states.append(state)
                 tab._state_by_label[label] = state
-                _apply_next(tab, state, get_prestate)
+                _apply_next(tab, state, get_prestate, layouts)
             if state not in pre.states:
                 pre.states.append(state)
     return tab
@@ -203,33 +209,18 @@ def _is_step(g: StateFormula) -> bool:
     return isinstance(g, (Enf, Unav)) and isinstance(g.path, Next)
 
 
-def _apply_next(tab: Tableau, state: TState, get_prestate) -> None:
-    """Group the joint agent choices into cells by the steps they commit to.
+def _next_layout(k: int, enf_positions: tuple, unav_outside: tuple) -> list:
+    """The move vectors of one coalition signature, grouped by commit bitmask.
 
-    A vector commits to an enforceable step when its whole coalition picks
-    that step's index, and to the unavoidable step selected by the co-sum of
-    the responders' choices when every agent outside its coalition responds.
+    Bit ``p`` is the ``p``-th step, enforceable steps first.  A vector
+    commits to an enforceable step when its whole coalition picks that
+    step's index, and to the unavoidable step selected by the co-sum of the
+    responders' choices when every agent outside its coalition responds.
+    Groups come in first-vector order, vectors in lexicographic order.
     """
-    universe = tab.universe
-    k = len(universe)
-    pos = {a: i for i, a in enumerate(universe)}
-    state.enf_steps = sorted(
-        (g for g in state.label if isinstance(g, Enf) and isinstance(g.path, Next)),
-        key=lambda g: (g.path.state.key, g.key),
-    )
-    state.unav_steps = sorted(
-        (g for g in state.label if isinstance(g, Unav) and isinstance(g.path, Next)),
-        key=lambda g: (g.path.state.key, g.key),
-    )
-    steps = state.enf_steps + state.unav_steps
-    enf_positions = [frozenset(pos[a] for a in g.coalition) for g in state.enf_steps]
-    m = len(state.enf_steps)
-    l = len(state.unav_steps)
+    m, l = len(enf_positions), len(unav_outside)
     all_positions = frozenset(range(k))
-    unav_outside = [
-        all_positions - {pos[a] for a in g.coalition} for g in state.unav_steps
-    ]
-    cells: dict[int, Cell] = {}
+    cells: dict[int, list[tuple[int, ...]]] = {}
     for sigma in itertools.product(range(m + l), repeat=k):
         key = 0
         for p, positions in enumerate(enf_positions):
@@ -240,14 +231,37 @@ def _apply_next(tab: Tableau, state: TState, get_prestate) -> None:
             co = sum(sigma[i] - m for i in responders) % l
             if unav_outside[co] <= responders:
                 key |= 1 << (m + co)
-        cell = cells.get(key)
-        if cell is None:
-            committed = [g for b, g in enumerate(steps) if key >> b & 1]
-            payloads = frozenset([g.path.state for g in committed])
-            target = get_prestate(payloads or frozenset({TRUE}))
-            cell = cells[key] = Cell(target, frozenset(committed), [])
-        cell.sigmas.append(sigma)
-    state.successors = list(cells.values())
+        cells.setdefault(key, []).append(sigma)
+    return [(key, tuple(sigmas)) for key, sigmas in cells.items()]
+
+
+def _apply_next(tab: Tableau, state: TState, get_prestate, layouts: dict) -> None:
+    """Group the joint agent choices into cells by the steps they commit to.
+
+    States with equal coalition signatures share one ``_next_layout``.
+    """
+    pos = {a: i for i, a in enumerate(tab.universe)}
+    state.enf_steps = sorted(
+        (g for g in state.label if isinstance(g, Enf) and isinstance(g.path, Next)),
+        key=lambda g: (g.path.state.key, g.key),
+    )
+    state.unav_steps = sorted(
+        (g for g in state.label if isinstance(g, Unav) and isinstance(g.path, Next)),
+        key=lambda g: (g.path.state.key, g.key),
+    )
+    steps = state.enf_steps + state.unav_steps
+    all_positions = frozenset(pos.values())
+    enf = tuple(frozenset(pos[a] for a in g.coalition) for g in state.enf_steps)
+    unav = tuple(all_positions - {pos[a] for a in g.coalition} for g in state.unav_steps)
+    signature = (len(pos), enf, unav)
+    layout = layouts.get(signature)
+    if layout is None:
+        layout = layouts[signature] = _next_layout(*signature)
+    for key, sigmas in layout:
+        committed = [g for b, g in enumerate(steps) if key >> b & 1]
+        payloads = frozenset([g.path.state for g in committed]) or frozenset({TRUE})
+        target = get_prestate(payloads)
+        state.successors.append(Cell(target, frozenset(committed), sigmas))
 
 
 def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
@@ -281,7 +295,7 @@ def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
             if all(
                 any(
                     rank.get((t.index, ev1), level) < level
-                    for t in cell.target.alive_states()
+                    for t in cell.target.states if t.alive
                 )
                 for cell in s.successors
                 if component.step in cell.steps
@@ -313,7 +327,7 @@ def eliminate_states(tab: Tableau) -> list[dict[str, list[int]]]:
         removed_stuck = [
             s
             for s in tab.alive_states()
-            if any(not cell.target.alive_states() for cell in s.successors)
+            if any(not any(t.alive for t in c.target.states) for c in s.successors)
         ]
         for s in removed_stuck:
             s.alive = False

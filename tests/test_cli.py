@@ -1,18 +1,23 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from atlplus import cli
 from atlplus.cgm import CGM
-from atlplus.cli import main
+from atlplus.cli import main, prepare
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import MAX_NESTING_DEPTH, to_text
+from atlplus.tableau import decide
 
 SAT_INPUT = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
 UNSAT_INPUT = "<<1>>(p U q | G q) & <<2>>(F p & G ~q)"
@@ -102,6 +107,47 @@ def test_nesting_at_the_depth_limit_runs_check_and_synth(capsys, text):
     for command in ("check", "synth"):
         assert run_cli(command, text) == 0
         assert "error" not in capsys.readouterr().err
+
+
+# Every token of the grammar, over at most two agents.
+FUZZ_TOKENS = (
+    "<<", ">>", "[[", "]]", ",", "1", "2", "(", ")", "~", "&", "|", "->",
+    "X", "G", "F", "U", "R", "p", "q", "true", "false",
+)
+# (opener, closer, nesting levels per opener) for inputs around the limit.
+NESTERS = (
+    ("~", "", 1),
+    ("(", ")", 1),
+    ("p -> ", "", 1),
+    ("<<1>>X ", "", 2),
+    ("<<1,2>>X (", ")", 3),
+    ("[[2]]X ~", "", 3),
+)
+token_texts = hst.lists(hst.sampled_from(FUZZ_TOKENS), max_size=14).map(" ".join)
+
+
+@hst.composite
+def nested_texts(draw):
+    opener, closer, levels = draw(hst.sampled_from(NESTERS))
+    n = MAX_NESTING_DEPTH // levels + draw(hst.integers(-2, 1))
+    core = draw(hst.sampled_from(["p", "~q", "<<1>>F p"]) | token_texts)
+    return opener * n + core + closer * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.sampled_from(["check", "synth"]), token_texts | nested_texts())
+def test_exit_code_contract_holds_for_any_text(command, text):
+    """Exit 0, 1 or 2 only, and 1 only for an unsatisfiable formula."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, text])
+        except SystemExit as exc:  # argparse refuses text that reads as an option
+            code = exc.code
+    assert code in (0, 1, 2), (text, err.getvalue())
+    if code == 1:
+        prepared = prepare(text)
+        assert decide(prepared.normal, prepared.universe).sat is False
 
 
 def test_check_honors_the_closure_budget(capsys):

@@ -1,5 +1,8 @@
 """Pretableau construction, elimination, and satisfiability verdicts."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -14,7 +17,7 @@ from atlplus.syntax import (
     to_nnf,
     to_text,
 )
-from atlplus.tableau import build_pretableau, decide
+from atlplus.tableau import _next_layout, build_pretableau, decide
 
 CLOSED = "<<1>>(p U q | G q) & <<2>>(F p & G ~q)"
 OPEN = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
@@ -179,6 +182,114 @@ def test_steps_sharing_a_payload_are_ordered_by_formula():
     f = to_nnf(parse("<<1>>X p & <<1,2>>X p"), (1, 2))
     d1 = build_pretableau(f, (1, 2)).states[0]
     assert [to_text(g) for g in d1.enf_steps] == ["<<1,2>>X p", "<<1>>X p"]
+
+
+# The 4-agent family formulas (as the benchmark's seed 7 orders them) and the
+# 5-agent F&G family: pretableau states, prestates, final states, cells and
+# move vectors, summed over all states.
+AGENTS4_SAT = (
+    "[[1]]F ~q & <<1>>(F p1 | G q) & <<4>>(F p4 | G q)"
+    " & <<2>>(F p2 | G q) & <<3>>(F p3 | G q)"
+)
+AGENTS4_UNSAT = (
+    "<<3>>(F p3 & G r) & <<4>>(F p4 & G r) & <<2>>(F p2 & G r)"
+    " & [[1]]F ~r & <<1>>(F p1 & G r)"
+)
+AGENTS5_FG = " & ".join(f"<<{i}>>(F p{i} & G r)" for i in range(1, 6))
+
+
+def _reference_layout(k, enf_positions, unav_outside):
+    """The successor rule run vector by vector: the reference for layouts."""
+    m = len(enf_positions)
+    l = len(unav_outside)
+    all_positions = frozenset(range(k))
+    cells = {}
+    for sigma in itertools.product(range(m + l), repeat=k):
+        key = 0
+        for p, positions in enumerate(enf_positions):
+            if all(sigma[i] == p for i in positions):
+                key |= 1 << p
+        if l:
+            responders = {i for i in all_positions if sigma[i] >= m}
+            co = sum(sigma[i] - m for i in responders) % l
+            if unav_outside[co] <= responders:
+                key |= 1 << (m + co)
+        if key not in cells:
+            cells[key] = []
+        cells[key].append(sigma)
+    return list(cells.items())
+
+
+def _random_coalition(rng, k):
+    # The empty and the grand coalition are drawn often on purpose.
+    kind = rng.randrange(4)
+    if kind == 0:
+        return frozenset()
+    if kind == 1:
+        return frozenset(range(k))
+    return frozenset(i for i in range(k) if rng.random() < 0.5)
+
+
+def test_layout_matches_the_per_vector_successor_rule():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        l = rng.randint(0, 3)
+        m = rng.randint(1 if l == 0 else 0, 4 - l)
+        enf_positions = tuple(_random_coalition(rng, k) for _ in range(m))
+        unav_outside = tuple(
+            frozenset(range(k)) - _random_coalition(rng, k) for _ in range(l)
+        )
+        seen.add((k, m, l))
+        got = _next_layout(k, enf_positions, unav_outside)
+        want = _reference_layout(k, enf_positions, unav_outside)
+        assert [(key, list(sigmas)) for key, sigmas in got] == want
+        for _, sigmas in got:
+            assert list(sigmas) == sorted(sigmas)
+    assert len(seen) > 30
+
+
+def test_states_with_one_coalition_signature_share_their_vectors():
+    d = run(AGENTS4_UNSAT)
+    by_signature = {}
+    for s in d.tableau.states:
+        signature = (
+            tuple(g.coalition for g in s.enf_steps),
+            tuple(g.coalition for g in s.unav_steps),
+        )
+        by_signature.setdefault(signature, []).append(s)
+    assert max(len(group) for group in by_signature.values()) > 1
+    for first, *rest in by_signature.values():
+        for s in rest:
+            assert len(s.successors) == len(first.successors)
+            for cell, shared in zip(s.successors, first.successors):
+                assert cell.sigmas is shared.sigmas
+    distinct = {id(c.sigmas) for s in d.tableau.states for c in s.successors}
+    per_signature = sum(len(g[0].successors) for g in by_signature.values())
+    assert len(distinct) == per_signature
+
+
+@pytest.mark.parametrize(
+    "text, sat, counts",
+    [
+        (AGENTS4_SAT, True, (4381, 261, 4315, 30_974, 387_330)),
+        (AGENTS4_UNSAT, False, (277, 85, 258, 2_691, 40_411)),
+        (AGENTS5_FG, True, (1056, 244, 1056, 17_816, 1_342_601)),
+    ],
+    ids=["agents4-sat", "agents4-unsat", "agents5-fg"],
+)
+def test_multi_agent_family_golden_counts(text, sat, counts):
+    d = run(text)
+    cells = [c for s in d.tableau.states for c in s.successors]
+    assert d.sat is sat
+    assert (
+        d.pretableau_state_count,
+        d.pretableau_prestate_count,
+        d.final_state_count,
+        len(cells),
+        sum(len(c.sigmas) for c in cells),
+    ) == counts
 
 
 # ---------------------------------------------------------------------------
