@@ -42,8 +42,9 @@ def main() -> int:
                     max_size=args.max_size)
     corpus = random_corpus(args.seed, args.count, cfg)
 
-    t0 = time.time()
-    sat = unsat = bad = skipped = 0
+    t0 = time.perf_counter()
+    sat = unsat = bad = skipped = searches = 0
+    search_s = 0.0
     sizes: list[int] = []
     for i, raw in enumerate(corpus, 1):
         text = to_text(raw)
@@ -69,11 +70,14 @@ def main() -> int:
         else:
             unsat += 1
             if args.cross_check:
+                t_search = time.perf_counter()
                 found = find_bounded_model(
                     prepared.normal, prepared.universe,
                     tuple(sorted(mentioned_props(prepared.normal))),
                     max_states=args.cross_check, max_actions=2,
                 )
+                searches += 1
+                search_s += time.perf_counter() - t_search
                 if found is not None:
                     model, where = found
                     bad += 1
@@ -83,9 +87,10 @@ def main() -> int:
             print(f"... {i}/{args.count} "
                   f"({sat} sat, {unsat} unsat, {bad} bad)")
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     print(f"done in {elapsed:.1f}s: {sat} sat, {unsat} unsat, "
-          f"{bad} discrepancies, {skipped} closure-skipped")
+          f"{bad} discrepancies, {skipped} closure-skipped, "
+          f"cross-check {searches} searches in {search_s:.2f}s")
     if sizes:
         print(f"synthesized model sizes: min {min(sizes)}, "
               f"mean {sum(sizes) / len(sizes):.1f}, max {max(sizes)}")

@@ -12,11 +12,19 @@ which the coalition commits its actions first and the rest respond.
 The status vector is exactly the memory a strategy may need, so the
 construction decides the perfect-recall semantics; no part of it shares
 code with the tableau machinery.
+
+A checker holds the model's tables, built once: per state its label,
+action counts and successor row, with profile lists and coalition groups
+shared by all states of one action-count tuple.  Each top-level query has
+its own memo of winning sets, dropped when it returns, so one checker can
+answer many queries, as the bounded search does, without growing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cgm import CGM
 from .syntax import (
@@ -70,39 +78,79 @@ def _collect_atoms(path: PathFormula) -> tuple[PathFormula, ...]:
 
 
 class ModelChecker:
-    """Evaluates state formulas over one model, memoizing winning sets.
+    """Evaluates state formulas over one model, one memo per query.
 
     Agents mentioned in formulas are mapped to the model's agent positions
     in sorted order: the smallest agent of the universe plays position 0.
+    A successor row lists one target per joint profile, in lexicographic
+    profile order.
     """
 
     def __init__(self, model: CGM, universe: tuple[int, ...]):
-        model.validate()
-        if len(universe) != model.agents:
-            raise CheckError(
-                f"the universe has {len(universe)} agents but the model has "
-                f"{model.agents} positions"
-            )
-        self.model = model
+        self._load((model,), universe)
+
+    @classmethod
+    def disjoint_union(
+        cls, models: Sequence[CGM], universe: tuple[int, ...]
+    ) -> ModelChecker:
+        """A checker on the disjoint union of ``models``, laid out in order.
+
+        State ``s`` of a model is state ``offset + s`` of the union, where
+        ``offset`` counts the states of the models before it.  Each model is
+        validated on its own, since a target out of its own range could
+        land in another model's states.
+        """
+        checker = cls.__new__(cls)
+        checker._load(models, universe)
+        return checker
+
+    def _load(self, models: Sequence[CGM], universe: tuple[int, ...]) -> None:
+        for model in models:
+            model.validate()
+            if len(universe) != model.agents:
+                raise CheckError(
+                    f"the universe has {len(universe)} agents but the model has "
+                    f"{model.agents} positions"
+                )
         self.universe = tuple(sorted(universe))
         self.position = {agent: i for i, agent in enumerate(self.universe)}
-        self.n = model.n_states
-        self.all_states = frozenset(range(self.n))
-        self._profiles = [model.profiles(s) for s in range(self.n)]
-        self._succ = [
-            [model.transitions[(s, prof)] for prof in self._profiles[s]]
-            for s in range(self.n)
-        ]
-        self._state_memo: dict[StateFormula, frozenset[int]] = {}
-        self._group_memo: dict[
-            tuple[int, tuple[int, ...]], list[list[int]]
-        ] = {}
+        states = tuple(range(sum(model.n_states for model in models)))
+        self.n = len(states)
+        self.initial = models[0].initial
+        self.all_states = frozenset(states)
+        self._states = states
+        self._labels: list[frozenset[str]] = []
+        self._counts: list[tuple[int, ...]] = []
+        self._succ: list[tuple[int, ...]] = []
+        self._profiles: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for model in models:
+            offset = len(self._labels)
+            self._labels += model.props
+            self._counts += model.action_counts
+            for s, counts in enumerate(model.action_counts):
+                if counts not in self._profiles:
+                    self._profiles[counts] = model.profiles(s)
+                self._succ.append(tuple([
+                    states[offset + model.transitions[s, p]]
+                    for p in self._profiles[counts]
+                ]))
+        self._groups: dict[tuple, tuple[itemgetter, ...] | None] = {}
 
     # ------------------------------------------------------------------
     # State formulas
 
     def states_where(self, f: StateFormula) -> frozenset[int]:
-        cached = self._state_memo.get(f)
+        """The states where ``f`` holds."""
+        return self._eval(f, {})
+
+    def holds(self, f: StateFormula, state: int | None = None) -> bool:
+        idx = self.initial if state is None else state
+        return idx in self.states_where(f)
+
+    def _eval(
+        self, f: StateFormula, memo: dict[StateFormula, frozenset[int]]
+    ) -> frozenset[int]:
+        cached = memo.get(f)
         if cached is not None:
             return cached
         if f is TRUE:
@@ -111,37 +159,35 @@ class ModelChecker:
             out = frozenset()
         elif isinstance(f, Lit):
             holding = frozenset(
-                s for s in range(self.n) if f.name in self.model.props[s]
+                s for s, label in zip(self._states, self._labels) if f.name in label
             )
             out = holding if f.positive else self.all_states - holding
         elif isinstance(f, Not):
-            out = self.all_states - self.states_where(f.sub)
+            out = self.all_states - self._eval(f.sub, memo)
         elif isinstance(f, And):
-            out = self.states_where(f.lhs) & self.states_where(f.rhs)
+            out = self._eval(f.lhs, memo) & self._eval(f.rhs, memo)
         elif isinstance(f, Or):
-            out = self.states_where(f.lhs) | self.states_where(f.rhs)
+            out = self._eval(f.lhs, memo) | self._eval(f.rhs, memo)
         elif isinstance(f, Implies):
-            out = (self.all_states - self.states_where(f.lhs)) | self.states_where(
-                f.rhs
+            out = (self.all_states - self._eval(f.lhs, memo)) | self._eval(
+                f.rhs, memo
             )
         elif isinstance(f, (Enf, Unav)):
-            out = self.solve_strategic(
-                isinstance(f, Enf), f.coalition, f.path
-            )
+            out = self._strategic(isinstance(f, Enf), f.coalition, f.path, memo)
         else:
             raise CheckError(f"cannot evaluate {f!r}")
-        self._state_memo[f] = out
+        memo[f] = out
         return out
-
-    def holds(self, f: StateFormula, state: int | None = None) -> bool:
-        idx = self.model.initial if state is None else state
-        return idx in self.states_where(f)
 
     # ------------------------------------------------------------------
     # Strategic quantifiers via the status-vector product
 
-    def solve_strategic(
-        self, enforce: bool, coalition: tuple[int, ...], path: PathFormula
+    def _strategic(
+        self,
+        enforce: bool,
+        coalition: tuple[int, ...],
+        path: PathFormula,
+        memo: dict[StateFormula, frozenset[int]],
     ) -> frozenset[int]:
         for agent in coalition:
             if agent not in self.position:
@@ -151,49 +197,16 @@ class ModelChecker:
         cpos = tuple(sorted(self.position[a] for a in coalition))
         atoms = _collect_atoms(path)
         index = {atom: i for i, atom in enumerate(atoms)}
+        limit_true = tuple(isinstance(atom, (Always, Release)) for atom in atoms)
 
-        payload_sets: list[tuple[frozenset[int], ...]] = []
-        for atom in atoms:
-            if isinstance(atom, (St, Next, Always, Sometime)):
-                payload_sets.append((self.states_where(atom.state),))
-            else:
-                payload_sets.append(
-                    (self.states_where(atom.lhs), self.states_where(atom.rhs))
-                )
-
-        limit_true = tuple(
-            isinstance(atom, (Always, Release)) for atom in atoms
-        )
-
-        def resolve(i: int, s: int) -> int:
-            atom = atoms[i]
-            sets = payload_sets[i]
-            if isinstance(atom, (St, Next)):
-                return _TRUE if s in sets[0] else _FALSE
-            if isinstance(atom, Always):
-                return _PENDING if s in sets[0] else _FALSE
-            if isinstance(atom, Sometime):
-                return _TRUE if s in sets[0] else _PENDING
-            if isinstance(atom, Until):
-                if s in sets[1]:
-                    return _TRUE
-                return _PENDING if s in sets[0] else _FALSE
-            # Release(l, r): r must hold now; l closes it out
-            if s not in sets[1]:
-                return _FALSE
-            return _TRUE if s in sets[0] else _PENDING
-
-        def init_vector(s: int) -> tuple[int, ...]:
-            return tuple(
-                _PENDING if isinstance(atoms[i], Next) else resolve(i, s)
-                for i in range(len(atoms))
-            )
-
-        def upd(v: tuple[int, ...], t: int) -> tuple[int, ...]:
-            return tuple(
-                resolve(i, t) if v[i] == _PENDING else v[i]
-                for i in range(len(atoms))
-            )
+        # A state's column: the status each pending atom takes when the play
+        # enters it.  States with equal columns move every vector alike.
+        members: dict[tuple[int, ...], list[int]] = {}
+        columns = zip(*(self._statuses(a, memo) for a in atoms))
+        for s, column in zip(self._states, columns):
+            members.setdefault(column, []).append(s)
+        rows, counts_of = self._succ, self._counts
+        choices_of = {counts: self._choices(counts, cpos) for counts in self._profiles}
 
         def path_value(v: tuple[int, ...]) -> bool:
             def ev(p: PathFormula) -> bool:
@@ -208,6 +221,15 @@ class ModelChecker:
 
             return ev(path)
 
+        def wins(s: int, good: set[int]) -> bool:
+            row = rows[s]
+            choices = choices_of[counts_of[s]]
+            if choices is None:
+                return not good.isdisjoint(row) if enforce else good.issuperset(row)
+            if enforce:
+                return any(good.issuperset(targets(row)) for targets in choices)
+            return all(not good.isdisjoint(targets(row)) for targets in choices)
+
         solve_memo: dict[tuple[int, ...], frozenset[int]] = {}
 
         def solve(v: tuple[int, ...]) -> frozenset[int]:
@@ -218,65 +240,96 @@ class ModelChecker:
                 result = self.all_states if path_value(v) else frozenset()
                 solve_memo[v] = result
                 return result
-            stays: list[bool] = []
-            exit_win: list[bool] = []
-            for t in range(self.n):
-                v_next = upd(v, t)
+            # Targets that keep the play in v's stratum, and targets won by
+            # leaving it.
+            stay: set[int] = set()
+            exit_won: set[int] = set()
+            for column, states in members.items():
+                v_next = tuple(
+                    c if x == _PENDING else x for x, c in zip(v, column)
+                )
                 if v_next == v:
-                    stays.append(True)
-                    exit_win.append(False)
+                    stay.update(states)
                 else:
-                    stays.append(False)
-                    exit_win.append(t in solve(v_next))
-            stay_value = path_value(v)
+                    exit_won.update(solve(v_next).intersection(states))
+            # cpre is monotone, so the iterates only grow from the empty set
+            # (reachability) or only shrink from every state (safety): each
+            # round revisits only the states not yet decided.
+            if path_value(v):
+                z = set(self._states)
+                while True:
+                    good = exit_won | (stay & z)
+                    lost = [s for s in z if not wins(s, good)]
+                    if not lost:
+                        break
+                    z.difference_update(lost)
+            else:
+                z = set()
+                while True:
+                    good = exit_won | (stay & z)
+                    won = [s for s in self._states if s not in z and wins(s, good)]
+                    if not won:
+                        break
+                    z.update(won)
+            result = frozenset(z)
+            solve_memo[v] = result
+            return result
 
-            def cpre(z: frozenset[int]) -> frozenset[int]:
-                out = set()
-                for s in range(self.n):
-                    groups = self._coalition_groups(s, cpos)
-                    succ = self._succ[s]
+        out: set[int] = set()
+        for column, states in members.items():
+            start = tuple(
+                _PENDING if isinstance(atom, Next) else c
+                for atom, c in zip(atoms, column)
+            )
+            out.update(solve(start).intersection(states))
+        return frozenset(out)
 
-                    def good(pi: int) -> bool:
-                        t = succ[pi]
-                        return t in z if stays[t] else exit_win[t]
+    def _statuses(
+        self, atom: PathFormula, memo: dict[StateFormula, frozenset[int]]
+    ) -> list[int]:
+        """The status ``atom`` takes, while pending, on entering each state."""
+        states = range(self.n)
+        if isinstance(atom, (St, Next)):
+            now = self._eval(atom.state, memo)
+            return [_TRUE if s in now else _FALSE for s in states]
+        if isinstance(atom, Always):
+            now = self._eval(atom.state, memo)
+            return [_PENDING if s in now else _FALSE for s in states]
+        if isinstance(atom, Sometime):
+            now = self._eval(atom.state, memo)
+            return [_TRUE if s in now else _PENDING for s in states]
+        lhs = self._eval(atom.lhs, memo)
+        rhs = self._eval(atom.rhs, memo)
+        if isinstance(atom, Until):
+            return [
+                _TRUE if s in rhs else _PENDING if s in lhs else _FALSE
+                for s in states
+            ]
+        # Release(l, r): r must hold now; l closes it out
+        return [
+            _FALSE if s not in rhs else _TRUE if s in lhs else _PENDING
+            for s in states
+        ]
 
-                    if enforce:
-                        win = any(
-                            all(good(pi) for pi in group) for group in groups
-                        )
-                    else:
-                        win = all(
-                            any(good(pi) for pi in group) for group in groups
-                        )
-                    if win:
-                        out.add(s)
-                return frozenset(out)
+    def _choices(
+        self, counts: tuple[int, ...], cpos: tuple[int, ...]
+    ) -> tuple[itemgetter, ...] | None:
+        """Per coalition choice, a getter of its targets from a successor row.
 
-            z = self.all_states if stay_value else frozenset()
-            while True:
-                z_next = cpre(z)
-                if z_next == z:
-                    break
-                z = z_next
-            solve_memo[v] = z
-            return z
-
-        return frozenset(s for s in range(self.n) if s in solve(init_vector(s)))
-
-    def _coalition_groups(
-        self, state: int, cpos: tuple[int, ...]
-    ) -> list[list[int]]:
-        """Profile indices grouped by the coalition's part of the profile."""
-        key = (state, cpos)
-        cached = self._group_memo.get(key)
-        if cached is not None:
-            return cached
+        A choice fixes the coalition's part of the profile and leaves the
+        rest to the others, so every choice has the same number of profiles.
+        None when that number is one: each target is a choice of its own.
+        """
+        key = (counts, cpos)
+        if key in self._groups:
+            return self._groups[key]
         groups: dict[tuple[int, ...], list[int]] = {}
-        for pi, profile in enumerate(self._profiles[state]):
-            part = tuple(profile[i] for i in cpos)
-            groups.setdefault(part, []).append(pi)
-        result = list(groups.values())
-        self._group_memo[key] = result
+        for pi, profile in enumerate(self._profiles[counts]):
+            groups.setdefault(tuple(profile[i] for i in cpos), []).append(pi)
+        result = None
+        if len(groups) < len(self._profiles[counts]):
+            result = tuple(itemgetter(*group) for group in groups.values())
+        self._groups[key] = result
         return result
 
 

@@ -15,9 +15,20 @@ set lookup.  Marks are bucketed by (action counts, targets): an image never
 precedes its representative in the scan, so a bucket is dropped as soon as
 the scan has visited its labelings and marks are kept only for raw models
 the scan has yet to reach.
+
+The search for a satisfying class is one model-checking query on the
+disjoint union of all classes, laid out in enumeration order.  Winning
+sets are fixpoints of a one-step controllable-predecessor operator, and
+one step never leaves a component of the union, so the union's winning
+set is the union of each class's own (Alur, Henzinger and Kupferman, JACM
+2002).  The smallest hit therefore lies in the first class with a hit, at
+that class's smallest hit.  The union's checker is built once per
+(bounds, universe) and kept beside the class list; it keeps no winning
+sets between queries.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -32,6 +43,8 @@ __all__ = [
 ]
 
 _CACHE: dict[tuple, list[CGM]] = {}
+# (cache key, sorted universe) -> union checker and class offsets
+_CHECKERS: dict[tuple, tuple[ModelChecker, list[int]]] = {}
 
 
 def _slots(counts: tuple[tuple[int, ...], ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -127,14 +140,25 @@ def find_bounded_model(
     """Search all bounded models for one satisfying the formula somewhere.
 
     Returns (model, state index) for the first hit in enumeration order, or
-    None when no bounded model satisfies the formula at any state.
+    None when no bounded model satisfies the formula at any state.  It
+    asks one query of a checker on the disjoint union of all classes,
+    which is sound because every fixpoint stays within each component.
     """
-    for model in enumerate_cgms(len(universe), tuple(props), max_states, max_actions):
-        checker = ModelChecker(model, universe)
-        hits = checker.states_where(formula)
-        if hits:
-            return model, min(hits)
-    return None
+    key = (len(universe), tuple(props), max_states, max_actions)
+    models = enumerate_cgms(*key)
+    if not models:
+        return None
+    universe = tuple(sorted(universe))
+    if (key, universe) not in _CHECKERS:
+        offsets = list(itertools.accumulate((m.n_states for m in models[:-1]), initial=0))
+        _CHECKERS[key, universe] = ModelChecker.disjoint_union(models, universe), offsets
+    checker, offsets = _CHECKERS[key, universe]
+    hits = checker.states_where(formula)
+    if not hits:
+        return None
+    first = min(hits)
+    i = bisect.bisect_right(offsets, first) - 1
+    return models[i], first - offsets[i]
 
 
 def sample_cgm(

@@ -76,12 +76,13 @@ class Cell:
     sigmas: tuple[tuple[int, ...], ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class TState:
     """A saturated node; ``successors`` holds its move vectors as cells.
 
     The cells appear in order of their first move vector, and each lists
-    its vectors in lexicographic order.
+    its vectors in lexicographic order.  A tableau keeps one state per
+    label, so states compare by identity.
     """
 
     index: int

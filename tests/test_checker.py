@@ -320,3 +320,42 @@ def test_checker_agrees_with_normalization(seed):
     m = sample_cgm(rng, len(universe), ("p", "q", "r"), 3, 2)
     checker = ModelChecker(m, universe)
     assert checker.states_where(raw) == checker.states_where(f)
+
+
+def _disjoint_union(a, b):
+    shift = a.n_states
+    moved = {(s + shift, prof): t + shift for (s, prof), t in b.transitions.items()}
+    return CGM(
+        agents=a.agents,
+        ids=list(range(shift + b.n_states)),
+        props=a.props + b.props,
+        action_counts=a.action_counts + b.action_counts,
+        transitions={**a.transitions, **moved},
+        initial=0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(min_value=0, max_value=10_000))
+def test_disjoint_union_is_checked_component_by_component(seed):
+    # Winning sets are fixpoints of a one-step operator, so no component of
+    # a disjoint union affects another's states.
+    rng = random.Random(seed ^ 0xD15)
+    (raw,) = random_corpus(seed, 1, GenConfig(max_size=8))
+    universe = default_universe(raw)
+    a = sample_cgm(rng, len(universe), ("p", "q", "r"), 3, 2)
+    b = sample_cgm(rng, len(universe), ("p", "q", "r"), 3, 2)
+    left = ModelChecker(a, universe).states_where(raw)
+    right = ModelChecker(b, universe).states_where(raw)
+    expected = left | {s + a.n_states for s in right}
+    assert ModelChecker(_disjoint_union(a, b), universe).states_where(raw) == expected
+    assert ModelChecker.disjoint_union([a, b], universe).states_where(raw) == expected
+
+
+def test_one_checker_answers_a_sequence_like_fresh_checkers():
+    formulas = random_corpus(3, 60, GenConfig(max_size=10))
+    for seed in range(5):
+        m = sample_cgm(random.Random(seed), 2, ("p", "q", "r"), 3, 2)
+        shared = ModelChecker(m, (1, 2))
+        for f in formulas + formulas:
+            assert shared.states_where(f) == ModelChecker(m, (1, 2)).states_where(f)

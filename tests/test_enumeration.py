@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from atlplus import enumeration
+from atlplus.cgm import CGM, ModelFormatError
 from atlplus.checker import ModelChecker
 from atlplus.enumeration import (
     enumerate_cgms,
     find_bounded_model,
     sample_cgm,
 )
+from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import parse, to_nnf
 
 
@@ -126,6 +129,58 @@ def test_find_bounded_model_needs_enough_states():
     assert find_bounded_model(f, (1,), ("p", "q"), max_states=2) is None
     found = find_bounded_model(f, (1,), ("p", "q"), max_states=3)
     assert found is not None
+
+
+def _per_class_search(formula, universe, props, max_states, max_actions):
+    """The search as one checker per class: the reference for the union."""
+    for model in enumerate_cgms(len(universe), props, max_states, max_actions):
+        hits = ModelChecker(model, universe).states_where(formula)
+        if hits:
+            return model, min(hits)
+    return None
+
+
+@pytest.mark.parametrize(
+    "universe,props,max_states,max_actions,count",
+    [((1,), ("p",), 3, 1, 400), ((1, 2), ("p", "q"), 2, 2, 80)],
+    ids=["1-p-3-1", "2-pq-2-2"],
+)
+def test_union_search_matches_the_per_class_search(
+    universe, props, max_states, max_actions, count
+):
+    corpus = random_corpus(5, count, GenConfig(agents=universe, props=props, max_size=8))
+    misses, later = 0, set()
+    for raw in corpus:
+        f = to_nnf(raw, universe)
+        found = find_bounded_model(f, universe, props, max_states, max_actions)
+        expected = _per_class_search(f, universe, props, max_states, max_actions)
+        if expected is None:
+            assert found is None
+            misses += 1
+        else:
+            assert found is not None
+            assert found[0] is expected[0] and found[1] == expected[1]
+            later.add(found[1])
+    # Both verdicts occur, and some hits lie past a class's first state.
+    assert 0 < misses < count and max(later) > 0
+
+
+def test_find_bounded_model_without_classes_finds_nothing():
+    f = to_nnf(parse("p"), (1,))
+    assert enumerate_cgms(1, ("p",), 0, 2) == []
+    assert find_bounded_model(f, (1,), ("p",), max_states=0) is None
+
+
+def test_find_bounded_model_validates_each_class(monkeypatch):
+    # The first class targets a state it does not have; in the union that
+    # index is the second class's state, so only a per-class check sees it.
+    broken = CGM(1, [0], [frozenset()], [(1,)], {(0, (0,)): 1}, 0)
+    sound = CGM(1, [0], [frozenset({"p"})], [(1,)], {(0, (0,)): 0}, 0)
+    monkeypatch.setattr(enumeration, "_CACHE", {(1, ("p",), 1, 1): [broken, sound]})
+    monkeypatch.setattr(enumeration, "_CHECKERS", {})
+    f = to_nnf(parse("p"), (1,))
+    with pytest.raises(ModelFormatError):
+        find_bounded_model(f, (1,), ("p",), max_states=1, max_actions=1)
 
 
 def test_sample_cgm_is_seeded_and_in_bounds():

@@ -1,5 +1,6 @@
 """The README's maintenance scripts run cleanly on a small corpus."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,6 @@ def test_script_exits_zero(script):
         timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+    if script == "random_selfcheck.py":
+        # The summary times the UNSAT cross-check on its own.
+        assert re.search(r"cross-check \d+ searches in \d+\.\d\ds", result.stdout)
