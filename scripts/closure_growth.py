@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from atlplus.decomposition import closure
 from atlplus.randgen import GenConfig, random_corpus

@@ -3,10 +3,12 @@
 
 Every formula is decided; satisfiable ones are synthesized into a model
 that must pass structural validation and the independent bounded
-model-checking oracle, unsatisfiable ones are cross-checked by exhaustive
-search over all small models (up to the --cross-check bound on states,
-two actions per agent), where no model may satisfy the formula.  Any
-discrepancy is printed and makes the script exit non-zero.
+model-checking oracle, and that must read back from its JSON form
+unchanged and with the same validation result.  Unsatisfiable ones are
+cross-checked by exhaustive search over all small models (up to the
+--cross-check bound on states, two actions per agent), where no model may
+satisfy the formula.  Any discrepancy is printed and makes the script
+exit non-zero.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from atlplus.cgm import CGM
 from atlplus.checker import check_model
 from atlplus.cli import prepare
 from atlplus.decomposition import ClosureLimitError
@@ -67,6 +71,12 @@ def main() -> int:
                     print(f"       {v}")
                 if not report.holds:
                     print("       oracle refutes the synthesized model")
+            # The emitted artifact, read back as `atlplus verify` reads it.
+            reloaded = CGM.from_json(model.to_json())
+            if (reloaded != model
+                    or validate_hintikka(reloaded, prepared.universe) != violations):
+                bad += 1
+                print(f"[{i}] model changes through its JSON form: {text}")
         else:
             unsat += 1
             if args.cross_check:

@@ -5,6 +5,11 @@ palette of actions, and one joint action profile picks exactly one
 successor.  States carry proposition labels.  The JSON form is the
 interchange format of the command-line tools; profiles must be exhaustive
 -- every state lists one transition per joint profile.
+
+``CGM.to_json`` writes ``json.dumps(to_json_dict(), indent=2)`` byte for
+byte: keys in the order ``agents``, ``initial``, ``states``, ``actions``,
+``transitions``, then ``hintikka`` sorted by key.  That layout is the stable
+output of ``synth`` and is pinned by ``tests/golden/synth_sha256.json``.
 """
 
 from __future__ import annotations
@@ -112,24 +117,93 @@ class CGM:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), indent=2)`` plus a newline.
+
+        The indent-2 layout is written directly.  Leaves go through
+        ``json.dumps``, which encodes scalars and strings in C; each state
+        id, proposition set, action box and annotation text is encoded once
+        per call, not once per occurrence.
+        """
+        dumps = json.dumps
+        ids = [dumps(sid) for sid in self.ids]
+        # action box -> (its counts as text, [(profile, profile as text)]);
+        # profile entries come from range(), so str() is their JSON.
+        boxes: dict[tuple[int, ...], tuple[str, list[tuple[tuple[int, ...], str]]]] = {}
+        for counts in self.action_counts:
+            if counts not in boxes:
+                boxes[counts] = (
+                    _list_text([dumps(c) for c in counts], "    "),
+                    [
+                        (profile, _list_text([str(a) for a in profile], "      "))
+                        for profile in itertools.product(*(range(c) for c in counts))
+                    ],
+                )
+        props_text: dict[frozenset[str], str] = {}
+        states = []
+        for sid, props in zip(ids, self.props):
+            text = props_text.get(props)
+            if text is None:
+                text = props_text[props] = _list_text(
+                    [dumps(p) for p in sorted(props)], "      "
+                )
+            states.append(f'{{\n      "id": {sid},\n      "props": {text}\n    }}')
+        # Keyed like to_json_dict's dict, so keys that collide as strings
+        # keep the same place and value.
+        actions = {
+            str(sid): boxes[counts][0]
+            for sid, counts in zip(self.ids, self.action_counts)
+        }
+        transitions = []
+        for s, counts in enumerate(self.action_counts):
+            head = f'{{\n      "from": {ids[s]},\n      "profile": '
+            for profile, text in boxes[counts][1]:
+                target = ids[self.transitions[(s, profile)]]
+                transitions.append(f'{head}{text},\n      "to": {target}\n    }}')
+        parts = [
+            f'{{\n  "agents": {dumps(self.agents)},\n  "initial": {ids[self.initial]}',
+            f',\n  "states": {_list_text(states, "  ")}',
+            f',\n  "actions": {_object_text(actions, "  ")}',
+            f',\n  "transitions": {_list_text(transitions, "  ")}',
+        ]
+        if self.hintikka is not None:
+            leaves: dict[str, str] = {}
+            hintikka = {}
+            for key, texts in sorted(self.hintikka.items()):
+                encoded = []
+                for t in texts:
+                    leaf = leaves.get(t)
+                    if leaf is None:
+                        leaf = leaves[t] = dumps(t)
+                    encoded.append(leaf)
+                hintikka[str(key)] = _list_text(encoded, "    ")
+            parts.append(f',\n  "hintikka": {_object_text(hintikka, "  ")}')
+        parts.append("\n}\n")
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CGM":
         try:
             agents = int(data["agents"])
-            states = data["states"]
-            ids = [entry["id"] for entry in states]
-            props = [frozenset(map(str, entry["props"])) for entry in states]
+            ids = []
+            props = []
+            for entry in data["states"]:
+                if not isinstance(entry, dict):
+                    raise ModelFormatError(f"state entry {entry!r} is not an object")
+                sid = entry["id"]
+                ids.append(sid)
+                names = _list(entry["props"], "props of state", sid)
+                props.append(frozenset(map(str, names)))
             actions_raw = data["actions"]
             action_counts = [
-                tuple(int(c) for c in actions_raw[str(sid)]) for sid in ids
+                tuple(map(int, _list(actions_raw[str(sid)], "actions of state", sid)))
+                for sid in ids
             ]
             index = {sid: i for i, sid in enumerate(ids)}
             transitions: dict[tuple[int, tuple[int, ...]], int] = {}
             for entry in data["transitions"]:
                 source = index[entry["from"]]
-                profile = tuple(int(a) for a in entry["profile"])
+                moves = _list(entry["profile"], "profile from state", entry["from"])
+                profile = tuple(int(a) for a in moves)
                 target = index[entry["to"]]
                 if (source, profile) in transitions:
                     raise ModelFormatError(
@@ -140,7 +214,7 @@ class CGM:
             hintikka = None
             if "hintikka" in data:
                 hintikka = {
-                    str(key): [str(v) for v in value]
+                    str(key): [str(v) for v in _list(value, "annotation of state", key)]
                     for key, value in data["hintikka"].items()
                 }
         except ModelFormatError:
@@ -168,3 +242,29 @@ class CGM:
         if not isinstance(data, dict):
             raise ModelFormatError("model JSON must be an object")
         return cls.from_json_dict(data)
+
+
+def _list(value, what: str, sid) -> list:
+    """``value`` when it is a JSON array.  Anything else is refused, a string
+    above all, whose characters would otherwise be read as the items."""
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{what} {sid!r} must be a list, got {value!r}")
+    return value
+
+
+def _list_text(items: list[str], indent: str) -> str:
+    """Indent-2 JSON layout of a list of encoded items at depth ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _object_text(entries: dict[str, str], indent: str) -> str:
+    """Indent-2 JSON layout of an object whose values are already encoded."""
+    if not entries:
+        return "{}"
+    inner = "\n" + indent + "  "
+    dumps = json.dumps
+    body = ("," + inner).join(f"{dumps(k)}: {v}" for k, v in entries.items())
+    return "{" + inner + body + "\n" + indent + "}"

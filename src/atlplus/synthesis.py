@@ -384,6 +384,8 @@ def extract_cgm(structure: HintikkaStructure) -> CGM:
     action_counts: list[tuple[int, ...]] = []
     transitions: dict[tuple[int, tuple[int, ...]], int] = {}
     hintikka: dict[str, list[str]] = {}
+    # Each distinct label formula is printed once.
+    texts: dict[StateFormula, str] = {}
     for i, node in enumerate(alive):
         label = node.state.label
         if label == sink_label:
@@ -398,7 +400,13 @@ def extract_cgm(structure: HintikkaStructure) -> CGM:
         action_counts.append((fanout,) * k)
         for sigma, child in node.edges.items():
             transitions[(i, sigma)] = index[child.nid]
-        hintikka[str(i)] = [to_text(f) for f in sorted(label)]
+        entry = []
+        for f in sorted(label):
+            text = texts.get(f)
+            if text is None:
+                text = texts[f] = to_text(f)
+            entry.append(text)
+        hintikka[str(i)] = entry
 
     model = CGM(
         agents=k,
@@ -436,21 +444,19 @@ def hintikka_labels(
     return labels
 
 
-def _subprofiles(
+def _choice_grid(
     box: tuple[int, ...], positions: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    return list(itertools.product(*(range(box[p]) for p in positions)))
-
-
-def _completions(
-    box: tuple[int, ...], positions: tuple[int, ...], choice: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    fixed = dict(zip(positions, choice))
-    axes = [
-        [fixed[p]] if p in fixed else list(range(box[p]))
-        for p in range(len(box))
-    ]
-    return [tuple(v) for v in itertools.product(*axes)]
+) -> list[list[tuple[int, ...]]]:
+    """For each choice of the agents at ``positions``, in lexicographic
+    order, the profiles of ``box`` that complete it."""
+    grid = []
+    for choice in itertools.product(*(range(box[p]) for p in positions)):
+        fixed = dict(zip(positions, choice))
+        axes = [
+            (fixed[p],) if p in fixed else range(box[p]) for p in range(len(box))
+        ]
+        grid.append(list(itertools.product(*axes)))
+    return grid
 
 
 def validate_hintikka(
@@ -459,7 +465,9 @@ def validate_hintikka(
     """Check the saturation conditions H1..H6 on an annotated model.
 
     Returns a list of human-readable violations ("H1 violated at state ...");
-    an empty list means the annotations form a coherent structure.
+    an empty list means the annotations form a coherent structure.  Each
+    distinct formula is negated once and each (action box, coalition) grid
+    of choices is built once per call; nothing is kept between calls.
     """
     if universe is None:
         universe = tuple(range(1, model.agents + 1))
@@ -468,48 +476,51 @@ def validate_hintikka(
             f"universe has {len(universe)} agents, model has {model.agents}"
         )
     labels = hintikka_labels(model, universe)
+    ordered = [sorted(label) for label in labels]
     position = {agent: i for i, agent in enumerate(universe)}
     n = model.n_states
+    transitions = model.transitions
     violations: list[str] = []
+    negations: dict[StateFormula, StateFormula] = {}
+    grids: dict[
+        tuple[tuple[int, ...], tuple[int, ...]], list[list[tuple[int, ...]]]
+    ] = {}
 
-    def succ(state: int, sigma: tuple[int, ...]) -> int:
-        return model.successor(state, sigma)
+    def choices(state: int, coalition: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+        key = (model.action_counts[state], coalition)
+        grid = grids.get(key)
+        if grid is None:
+            positions = tuple(position[a] for a in coalition)
+            grid = grids[key] = _choice_grid(key[0], positions)
+        return grid
 
     def enf_witness(state: int, coalition, payload) -> bool:
-        box = model.action_counts[state]
-        positions = tuple(position[a] for a in coalition)
-        for choice in _subprofiles(box, positions):
-            if all(
-                payload in labels[succ(state, sigma)]
-                for sigma in _completions(box, positions, choice)
-            ):
-                return True
-        return False
+        return any(
+            all(payload in labels[transitions[(state, sigma)]] for sigma in completions)
+            for completions in choices(state, coalition)
+        )
 
     def unav_witness(state: int, coalition, payload) -> bool:
-        box = model.action_counts[state]
-        positions = tuple(position[a] for a in coalition)
-        for choice in _subprofiles(box, positions):
-            if not any(
-                payload in labels[succ(state, sigma)]
-                for sigma in _completions(box, positions, choice)
-            ):
-                return False
-        return True
+        return all(
+            any(payload in labels[transitions[(state, sigma)]] for sigma in completions)
+            for completions in choices(state, coalition)
+        )
 
     for s in range(n):
         sid = model.ids[s]
         label = labels[s]
         if FALSE in label:
             violations.append(f"H1 violated at state {sid}: false in label")
-        for f in sorted(label):
-            neg = negate(f, universe)
+        for f in ordered[s]:
+            neg = negations.get(f)
+            if neg is None:
+                neg = negations[f] = negate(f, universe)
             if neg in label and to_text(f) <= to_text(neg):
                 violations.append(
                     f"H1 violated at state {sid}: both {to_text(f)} and"
                     f" {to_text(neg)} present"
                 )
-        for f in sorted(label):
+        for f in ordered[s]:
             kind = classify(f)
             if kind is FormulaClass.ALPHA:
                 assert isinstance(f, And)
@@ -534,7 +545,7 @@ def validate_hintikka(
                         f"H4 violated at state {sid}: no component of"
                         f" {to_text(f)} present"
                     )
-        for f in sorted(label):
+        for f in ordered[s]:
             if not is_successor_formula(f):
                 continue
             payload = successor_payload(f)
@@ -552,12 +563,7 @@ def validate_hintikka(
                         f" for {to_text(f)}"
                     )
 
-    pairs = [
-        (s, f)
-        for s in range(n)
-        for f in sorted(labels[s])
-        if is_gamma(f)
-    ]
+    pairs = [(s, f) for s in range(n) for f in ordered[s] if is_gamma(f)]
     realized: set[tuple[int, StateFormula]] = {
         (s, f) for s, f in pairs if realized_now(f.path, labels[s])
     }
@@ -574,28 +580,22 @@ def validate_hintikka(
                     continue
                 step = component.step
                 ev1 = component.next_ev
-
-                def passed(sigma: tuple[int, ...]) -> bool:
-                    return (succ(s, sigma), ev1) in realized
-
-                box = model.action_counts[s]
+                grid = choices(s, step.coalition)
                 if isinstance(step, Enf):
-                    positions = tuple(position[a] for a in step.coalition)
                     ok = any(
                         all(
-                            passed(sigma)
-                            for sigma in _completions(box, positions, choice)
+                            (transitions[(s, sigma)], ev1) in realized
+                            for sigma in completions
                         )
-                        for choice in _subprofiles(box, positions)
+                        for completions in grid
                     )
                 else:
-                    positions = tuple(position[a] for a in step.coalition)
                     ok = all(
                         any(
-                            passed(sigma)
-                            for sigma in _completions(box, positions, choice)
+                            (transitions[(s, sigma)], ev1) in realized
+                            for sigma in completions
                         )
-                        for choice in _subprofiles(box, positions)
+                        for completions in grid
                     )
                 if ok:
                     realized.add((s, f))

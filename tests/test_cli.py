@@ -367,6 +367,45 @@ def test_verify_rejects_malformed_model_files(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+# Each edit spells lists as strings of the same characters ("pq" for
+# ["p", "q"], "22" for [2, 2]), which the loader used to accept.
+
+
+def _set_props(data):
+    data["states"][0]["props"] = "pq"
+
+
+def _set_actions(data):
+    for key, counts in data["actions"].items():
+        data["actions"][key] = "".join(map(str, counts))
+
+
+def _set_profile(data):
+    for entry in data["transitions"]:
+        entry["profile"] = "".join(map(str, entry["profile"]))
+
+
+def _set_state_entry(data):
+    data["states"][0] = "s0"
+
+
+@pytest.mark.parametrize(
+    "edit", [_set_props, _set_actions, _set_profile, _set_state_entry]
+)
+def test_verify_rejects_strings_where_lists_or_objects_belong(
+    model_file, tmp_path, capsys, edit
+):
+    data = json.loads(model_file.read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("verify", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -1,5 +1,6 @@
 """The README's maintenance scripts run cleanly on a small corpus."""
 
+import os
 import re
 import subprocess
 import sys
@@ -12,8 +13,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", ["random_selfcheck.py", "closure_growth.py"])
 def test_script_exits_zero(script):
-    # Run from the repo root, as the README documents: the scripts find the
-    # package through the relative path "src".
     result = subprocess.run(
         [sys.executable, f"scripts/{script}", "--count", "30"],
         cwd=REPO,
@@ -25,3 +24,20 @@ def test_script_exits_zero(script):
     if script == "random_selfcheck.py":
         # The summary times the UNSAT cross-check on its own.
         assert re.search(r"cross-check \d+ searches in \d+\.\d\ds", result.stdout)
+
+
+def test_script_runs_from_another_directory(tmp_path):
+    # The scripts locate src/ from their own path, not from the cwd or the
+    # environment.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "random_selfcheck.py"),
+         "--count", "10"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "0 discrepancies" in result.stdout

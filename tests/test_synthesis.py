@@ -326,6 +326,24 @@ def test_h5_violation_on_unwitnessed_successor_formula():
     )
 
 
+def test_validator_memos_keep_states_apart():
+    # States 2 and 5 have the same action box, so they share one grid of
+    # choices.  <<1>>X p holds at 2 (its successor carries p) and fails at 5.
+    def edit(d):
+        for sid in ("2", "5"):
+            d["hintikka"][sid].extend(["p", "~p", "<<1>>X r", "<<1>>X p"])
+
+    m = _mutated(edit)
+    assert m.action_counts[2] == m.action_counts[5]
+    assert validate_hintikka(m, UNIVERSE) == [
+        "H1 violated at state 2: both p and ~p present",
+        "H5 violated at state 2: no action witness for <<1>>X r",
+        "H1 violated at state 5: both p and ~p present",
+        "H5 violated at state 5: no action witness for <<1>>X p",
+        "H5 violated at state 5: no action witness for <<1>>X r",
+    ]
+
+
 def test_h6_violation_on_forever_deferred_eventuality():
     # A self-loop that always defers p U q and never reaches q.
     m = CGM(
