@@ -52,10 +52,7 @@ from .synthesis import (
     assemble,
     extract_cgm,
     move_cells,
-    realizing_tree,
-    simple_tree,
     validate_hintikka,
-    witness_tree,
 )
 from .tableau import (
     Decision,
@@ -115,14 +112,11 @@ __all__ = [
     "realization_fixpoint",
     "holds_locally",
     "realized_now",
-    "realizing_tree",
     "sample_cgm",
-    "simple_tree",
     "tableau_dot",
     "to_nnf",
     "to_text",
     "validate_hintikka",
-    "witness_tree",
 ]
 
 __version__ = "0.1.0"

@@ -45,9 +45,6 @@ class CGM:
             itertools.product(*(range(c) for c in self.action_counts[state]))
         )
 
-    def successor(self, state: int, profile: tuple[int, ...]) -> int:
-        return self.transitions[(state, profile)]
-
     def validate(self) -> None:
         if self.agents < 1:
             raise ModelFormatError("a model needs at least one agent")
@@ -60,14 +57,16 @@ class CGM:
         if len(self.props) != self.n_states or len(self.action_counts) != self.n_states:
             raise ModelFormatError("per-state data does not cover every state")
         expected = set()
-        for s in range(self.n_states):
-            counts = self.action_counts[s]
+        # action box -> its profiles, shared by the states with that box
+        boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for s, counts in enumerate(self.action_counts):
             if len(counts) != self.agents or any(c < 1 for c in counts):
                 raise ModelFormatError(
                     f"state {self.ids[s]!r} must give every agent at least one action"
                 )
-            for profile in self.profiles(s):
-                expected.add((s, profile))
+            if counts not in boxes:
+                boxes[counts] = self.profiles(s)
+            expected.update([(s, profile) for profile in boxes[counts]])
         given = set(self.transitions)
         if given != expected:
             missing = expected - given

@@ -22,6 +22,7 @@ from .syntax import (
     TRUE,
     FormulaError,
     StateFormula,
+    coalition_text,
     conj,
     default_universe,
     enf,
@@ -76,10 +77,6 @@ def prepare(text: str, extra_agents: int = 0) -> Prepared:
     return Prepared(raw=raw, normal=to_nnf(widened, universe), universe=universe)
 
 
-def _agents_text(universe: tuple[int, ...]) -> str:
-    return ",".join(str(a) for a in universe)
-
-
 def _trace_lines(decision: Decision) -> list[str]:
     lines = []
     for number, batch in enumerate(decision.tableau.elimination_trace, start=1):
@@ -98,7 +95,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     decision = decide(prepared.normal, prepared.universe, args.max_closure)
     print(f"formula: {to_text(prepared.raw)}")
     print(f"normal form: {to_text(prepared.normal)}")
-    print(f"agents: {_agents_text(prepared.universe)}")
+    print(f"agents: {coalition_text(prepared.universe)}")
     print(
         f"pretableau: {decision.pretableau_state_count} states, "
         f"{decision.pretableau_prestate_count} prestates"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .syntax import (
     FALSE,
@@ -73,24 +73,36 @@ class DecPair(NamedTuple):
 # Slot canonicalization: flatten, drop units, dedup, sort, fold.
 
 
-def _canon_conj(parts: Iterable[StateFormula]) -> StateFormula:
+def _canon_state(
+    parts: Iterable[StateFormula],
+    node_cls: type,
+    unit: StateFormula,
+    absorber: StateFormula,
+    mk: Callable[[StateFormula, StateFormula], StateFormula],
+) -> StateFormula:
+    """Flatten ``node_cls`` nodes, drop ``unit``, dedup, sort and fold with
+    ``mk``; any ``absorber`` operand absorbs the whole."""
     flat: dict[StateFormula, None] = {}
 
     def add(g: StateFormula) -> None:
-        if isinstance(g, And):
+        if isinstance(g, node_cls):
             add(g.lhs)
             add(g.rhs)
-        elif g is not TRUE:
+        elif g is not unit:
             flat[g] = None
 
     for part in parts:
         add(part)
-    if FALSE in flat:
-        return FALSE
-    out = TRUE
+    if absorber in flat:
+        return absorber
+    out = unit
     for g in sorted(flat, key=lambda x: x.key):
-        out = conj(out, g)
+        out = mk(out, g)
     return out
+
+
+_CONJ = (And, TRUE, FALSE, conj)
+_DISJ = (Or, FALSE, TRUE, disj)
 
 
 def _flatten_path(p: PathFormula, node_cls: type) -> Iterator[PathFormula]:
@@ -101,64 +113,40 @@ def _flatten_path(p: PathFormula, node_cls: type) -> Iterator[PathFormula]:
         yield p
 
 
-def _canon_disj(parts: Iterable[StateFormula]) -> StateFormula:
-    flat: dict[StateFormula, None] = {}
-
-    def add(g: StateFormula) -> None:
-        if isinstance(g, Or):
-            add(g.lhs)
-            add(g.rhs)
-        elif g is not FALSE:
-            flat[g] = None
-
-    for part in parts:
-        add(part)
-    if TRUE in flat:
-        return TRUE
-    out = FALSE
-    for g in sorted(flat, key=lambda x: x.key):
-        out = disj(out, g)
-    return out
-
-
-def _canon_pand(parts: Iterable[PathFormula]) -> PathFormula:
+def _canon_path(
+    parts: Iterable[PathFormula],
+    node_cls: type,
+    unit: St,
+    absorber: St,
+    mk: Callable[[PathFormula, PathFormula], PathFormula],
+    state_ops: tuple,
+) -> PathFormula:
+    """Flatten ``node_cls`` nodes; the state atoms fold into one state part
+    canonicalized by ``state_ops``, then the sorted temporal atoms join it
+    by ``mk``.  ``unit`` and ``absorber`` wrap the state-level ones."""
     temporal: dict[PathFormula, None] = {}
     state_atoms: list[StateFormula] = []
     for part in parts:
-        for atom in _flatten_path(part, PAnd):
+        for atom in _flatten_path(part, node_cls):
             if isinstance(atom, St):
                 state_atoms.append(atom.state)
             else:
                 temporal[atom] = None
-    state_part = _canon_conj(state_atoms)
-    if state_part is FALSE:
-        return ST_FALSE
-    out = ST_TRUE if state_part is TRUE else st(state_part)
+    state_part = _canon_state(state_atoms, *state_ops)
+    if state_part is absorber.state:
+        return absorber
+    out = unit if state_part is unit.state else st(state_part)
     for p in sorted(temporal, key=lambda x: x.key):
-        out = pand(out, p)
+        out = mk(out, p)
     return out
 
 
-def _canon_por(parts: Iterable[PathFormula]) -> PathFormula:
-    temporal: dict[PathFormula, None] = {}
-    state_atoms: list[StateFormula] = []
-    for part in parts:
-        for atom in _flatten_path(part, POr):
-            if isinstance(atom, St):
-                state_atoms.append(atom.state)
-            else:
-                temporal[atom] = None
-    state_part = _canon_disj(state_atoms)
-    if state_part is TRUE:
-        return ST_TRUE
-    out = ST_FALSE if state_part is FALSE else st(state_part)
-    for p in sorted(temporal, key=lambda x: x.key):
-        out = por(out, p)
-    return out
+_PAND = (PAnd, ST_TRUE, ST_FALSE, pand, _CONJ)
+_POR = (POr, ST_FALSE, ST_TRUE, por, _DISJ)
 
 
 def _pair(now_parts: Iterable[StateFormula], later: PathFormula) -> DecPair:
-    return DecPair(_canon_conj(now_parts), later)
+    return DecPair(_canon_state(now_parts, *_CONJ), later)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +177,10 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
         left = dec(p.lhs)
         right = dec(p.rhs)
         out = [
-            DecPair(_canon_conj([a.now, b.now]), _canon_pand([a.later, b.later]))
+            DecPair(
+                _canon_state([a.now, b.now], *_CONJ),
+                _canon_path([a.later, b.later], *_PAND),
+            )
             for a in left
             for b in right
         ]
@@ -202,7 +193,10 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
                 if a.later is ST_TRUE or b.later is ST_TRUE:
                     continue
                 out.append(
-                    DecPair(_canon_conj([a.now, b.now]), _canon_por([a.later, b.later]))
+                    DecPair(
+                        _canon_state([a.now, b.now], *_CONJ),
+                        _canon_path([a.later, b.later], *_POR),
+                    )
                 )
     else:
         raise FormulaError(f"cannot decompose {p!r}")
@@ -308,9 +302,6 @@ class Expansion:
 
     label: frozenset[StateFormula]
     linked: dict[StateFormula, GammaComponent] = field(compare=False)
-
-    def sorted_label(self) -> tuple[StateFormula, ...]:
-        return tuple(sorted(self.label, key=lambda g: g.key))
 
 
 @dataclass

@@ -341,6 +341,18 @@ def to_nnf(f: StateFormula, universe: tuple[int, ...] | None = None) -> StateFor
     a negated quantifier dualizes; an avoidance quantifier over the full
     universe collapses to ``<<>>`` (the empty-coalition enforceability).
     """
+    return _normal_form(f, universe, False)
+
+
+def negate(f: StateFormula, universe: tuple[int, ...]) -> StateFormula:
+    """Normal form of the negation of ``f``: ``to_nnf``'s walk started
+    under one negation, so ``negate(f, u) is to_nnf(lnot(f), u)``."""
+    return _normal_form(f, universe, True)
+
+
+def _normal_form(
+    f: StateFormula, universe: tuple[int, ...] | None, negated: bool
+) -> StateFormula:
     if universe is None:
         universe = default_universe(f)
     uset = frozenset(universe)
@@ -412,47 +424,7 @@ def to_nnf(f: StateFormula, universe: tuple[int, ...] | None = None) -> StateFor
             return mk(np(p.lhs, neg), np(p.rhs, neg))
         raise FormulaError(f"not a path formula: {p!r}")
 
-    return ns(f, False)
-
-
-def negate(f: StateFormula, universe: tuple[int, ...]) -> StateFormula:
-    """Normal-form negation of a normal-form state formula."""
-    if f is TRUE:
-        return FALSE
-    if f is FALSE:
-        return TRUE
-    if isinstance(f, Lit):
-        return lit(f.name, not f.positive)
-    if isinstance(f, And):
-        return disj(negate(f.lhs, universe), negate(f.rhs, universe))
-    if isinstance(f, Or):
-        return conj(negate(f.lhs, universe), negate(f.rhs, universe))
-    if isinstance(f, Enf):
-        path = _pnegate(f.path, universe)
-        if frozenset(f.coalition) == frozenset(universe):
-            return enf((), path)
-        return unav(f.coalition, path)
-    if isinstance(f, Unav):
-        return enf(f.coalition, _pnegate(f.path, universe))
-    raise FormulaError(f"negate expects a normal-form state formula: {f!r}")
-
-
-def _pnegate(p: PathFormula, universe: tuple[int, ...]) -> PathFormula:
-    if isinstance(p, St):
-        return st(negate(p.state, universe))
-    if isinstance(p, Next):
-        return pnext(negate(p.state, universe))
-    if isinstance(p, Always):
-        return until(TRUE, negate(p.state, universe))
-    if isinstance(p, Until):
-        nl = negate(p.lhs, universe)
-        nr = negate(p.rhs, universe)
-        return por(always(nr), until(nr, conj(nr, nl)))
-    if isinstance(p, PAnd):
-        return por(_pnegate(p.lhs, universe), _pnegate(p.rhs, universe))
-    if isinstance(p, POr):
-        return pand(_pnegate(p.lhs, universe), _pnegate(p.rhs, universe))
-    raise FormulaError(f"not a normal-form path formula: {p!r}")
+    return ns(f, negated)
 
 
 def is_nnf(f: StateFormula) -> bool:

@@ -1,14 +1,15 @@
 """Model synthesis from an open final tableau.
 
-Surviving tableau states are arranged into move-partition trees (one child
-per group of action profiles sharing a successor-state set), the trees are
-glued into a finite deterministic structure that realizes every eventuality,
-and the structure is projected to a concurrent game model.  A realizing
-tree is an eventuality's witness tree, routed by the realization ranks
-elimination stored on the tableau, completed to full arity.  Dead ends left
-after gluing are closed off in one forward pass in node order.  The saturated
-formula labels travel along as annotations so the result can be re-validated
-independently of the tableau that produced it.
+Surviving tableau states are grown into components, one child per group of
+action profiles sharing a successor-state set, built directly into a finite
+deterministic structure that realizes every eventuality; the structure is
+then projected to a concurrent game model.  A realizing component follows
+the realization ranks elimination stored on the tableau: profiles committed
+to an eventuality's linked step lead to a successor of minimal rank, every
+other profile group to a leaf.  Dead ends left after gluing are closed off
+in one forward pass in node order.  The saturated formula labels travel
+along as annotations so the result can be re-validated independently of
+the tableau that produced it.
 """
 from __future__ import annotations
 
@@ -42,13 +43,9 @@ from .tableau import Tableau, TState, _unconditional_step
 __all__ = [
     "SynthesisError",
     "MoveCell",
-    "TreeNode",
     "HNode",
     "HintikkaStructure",
     "move_cells",
-    "simple_tree",
-    "witness_tree",
-    "realizing_tree",
     "assemble",
     "extract_cgm",
     "hintikka_labels",
@@ -98,24 +95,7 @@ def move_cells(state: TState) -> list[MoveCell]:
 
 
 # ---------------------------------------------------------------------------
-# Trees over tableau states
-
-
-@dataclass
-class TreeNode:
-    """Node of a synthesis tree.
-
-    ``eventuality`` carries the formula whose realization this node is
-    tracking (``None`` on completion branches), and ``children`` pairs each
-    group of action profiles with the subtree it leads to.
-    """
-
-    state: TState
-    eventuality: StateFormula | None
-    children: list[tuple[tuple[tuple[int, ...], ...], "TreeNode"]]
-
-    def edge_labels(self) -> list[tuple[tuple[int, ...], ...]]:
-        return [sigmas for sigmas, _ in self.children]
+# Assembly
 
 
 def _final_ranks(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
@@ -127,84 +107,6 @@ def _final_ranks(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
     if tab.phase != "final":
         raise SynthesisError("synthesis requires a fully eliminated tableau")
     return tab.realization
-
-
-def witness_tree(tab: Tableau, ev: StateFormula, state: TState) -> TreeNode:
-    """Minimal tree certifying that ``ev`` is realized starting at ``state``.
-
-    Rank zero yields a single node.  Otherwise every profile committed to the
-    linked successor formula is routed to a surviving successor of minimal
-    rank (ties to the oldest state) for the re-quantified remainder, and the
-    construction recurses with strictly decreasing rank.  Children appear in
-    order of their first profile and list their profiles in lexicographic
-    order.
-    """
-    ranks = _final_ranks(tab)
-
-    def build(ev: StateFormula, state: TState) -> TreeNode:
-        rank = ranks.get((state.index, ev))
-        if rank is None:
-            raise SynthesisError(f"{ev!r} is not realized at {state.name}")
-        if rank == 0:
-            return TreeNode(state, ev, [])
-        component = state.linked[ev]
-        ev1 = component.next_ev
-        grouped: dict[int, tuple[TState, list[tuple[int, ...]]]] = {}
-        for cell in state.successors:
-            if component.step not in cell.steps:
-                continue
-            ranked = [t for t in cell.target.alive_states() if (t.index, ev1) in ranks]
-            if not ranked:
-                raise SynthesisError(f"no successor realizes {ev1!r}")
-            best = min(ranked, key=lambda t: (ranks[(t.index, ev1)], t.index))
-            grouped.setdefault(best.index, (best, []))[1].extend(cell.sigmas)
-        groups = sorted((sorted(sigmas), target) for target, sigmas in grouped.values())
-        return TreeNode(
-            state,
-            ev,
-            [(tuple(sigmas), build(ev1, target)) for sigmas, target in groups],
-        )
-
-    return build(ev, state)
-
-
-def _complete(node: TreeNode) -> TreeNode:
-    """Give ``node`` and its interior descendants one child per move cell.
-
-    A cell holding a profile of one of the node's children keeps that child,
-    completed in turn; every other cell gets a leaf colored with its oldest
-    target.  All profiles of one cell reach the same surviving states, so a
-    cell holds the profiles of at most one child.
-    """
-    by_sigma = {sigma: child for sigmas, child in node.children for sigma in sigmas}
-    children: list[tuple[tuple[tuple[int, ...], ...], TreeNode]] = []
-    for cell in move_cells(node.state):
-        child = next((by_sigma[s] for s in cell.sigmas if s in by_sigma), None)
-        if child is None:
-            child = TreeNode(cell.targets[0], None, [])
-        elif child.children:
-            child = _complete(child)
-        children.append((cell.sigmas, child))
-    return TreeNode(node.state, node.eventuality, children)
-
-
-def simple_tree(state: TState) -> TreeNode:
-    """Depth-1 tree: one leaf per move cell, colored with its first target."""
-    return _complete(TreeNode(state, None, []))
-
-
-def realizing_tree(tab: Tableau, ev: StateFormula, state: TState) -> TreeNode:
-    """The witness tree completed to full arity.
-
-    Every interior node (and the root) gets exactly one child per move cell:
-    cells holding committed profiles keep the witness subtree, the remaining
-    cells get a leaf colored with their oldest target.
-    """
-    return _complete(witness_tree(tab, ev, state))
-
-
-# ---------------------------------------------------------------------------
-# Assembly
 
 
 @dataclass
@@ -260,13 +162,15 @@ def pending_rows(rows: list[StateFormula], state: TState) -> list[int]:
 
 
 def assemble(tab: Tableau) -> HintikkaStructure:
-    """Glue grid trees into a finite structure realizing every eventuality.
+    """Grow components into a finite structure realizing every eventuality.
 
     The queue of eventualities starts at the input formula's own row when
     the input is itself an eventuality and at the first row otherwise; the
     root is the oldest surviving state containing the input.  One pass over
-    the queue expands every dead end with the current row's tree for the
-    dead end's state.  Remaining dead ends are then closed off in one
+    the queue grows every dead end, in place, into the current row's
+    component for the dead end's state: the realizing component when the
+    state carries the row's eventuality, the simple one (a leaf per move
+    cell) otherwise.  Remaining dead ends are then closed off in one
     forward pass in node order, which also visits the nodes that grafting
     appends.  A dead end whose state still defers some eventuality continues
     the row cycle restricted to the deferred rows: it reuses that exact
@@ -276,17 +180,12 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     oldest-row component of its state already present, grafting the next
     row's component when none exists yet.
     """
-    _final_ranks(tab)
+    ranks = _final_ranks(tab)
     candidates = tab.satisfying_states()
     if not candidates:
         raise SynthesisError("input is unsatisfiable; nothing to synthesize")
     rows = eventuality_rows(tab)
     n_rows = len(rows)
-
-    def tree_for(ev: StateFormula | None, state: TState) -> TreeNode:
-        if ev is not None and ev in state.label:
-            return realizing_tree(tab, ev, state)
-        return simple_tree(state)
 
     eta = tab.input
     start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
@@ -300,22 +199,54 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         nodes.append(node)
         return node
 
-    def graft_children(node: HNode, tree: TreeNode, row_index: int) -> None:
-        for sigmas, subtree in tree.children:
-            child = new_node(subtree.state)
+    def grow(node: HNode, ev: StateFormula | None) -> None:
+        """Give ``node`` one child per move cell, realizing ``ev`` below it.
+
+        While ``ev`` has a positive rank at the node's state, a cell holding
+        a profile committed to the linked step leads to its best-ranked
+        realizer of the re-quantified remainder (ties to the oldest state),
+        grown in turn while its own rank is positive.  Every other cell
+        leads to a leaf colored with its oldest target.
+        """
+        state = node.state
+        next_ev = None
+        committed: set[tuple[int, ...]] = set()
+        if ev is not None:
+            rank = ranks.get((state.index, ev))
+            if rank is None:
+                raise SynthesisError(f"{ev!r} is not realized at {state.name}")
+            if rank:
+                component = state.linked[ev]
+                next_ev = component.next_ev
+                committed = {
+                    sigma
+                    for cell in state.successors
+                    if component.step in cell.steps
+                    for sigma in cell.sigmas
+                }
+        for cell in move_cells(state):
+            target = cell.targets[0]
+            realizing = not committed.isdisjoint(cell.sigmas)
+            if realizing:
+                ranked = [t for t in cell.targets if (t.index, next_ev) in ranks]
+                if not ranked:
+                    raise SynthesisError(f"no successor realizes {next_ev!r}")
+                target = min(ranked, key=lambda t: (ranks[(t.index, next_ev)], t.index))
+            child = new_node(target)
             child.parent = node
-            child.parent_sigmas = sigmas
-            child.row = row_index
-            for sigma in sigmas:
+            child.parent_sigmas = cell.sigmas
+            child.row = node.row
+            for sigma in cell.sigmas:
                 node.edges[sigma] = child
-            graft_children(child, subtree, row_index)
+            if realizing and ranks[(target.index, next_ev)]:
+                grow(child, next_ev)
 
     def graft(node: HNode, row_index: int, ev: StateFormula | None) -> None:
         node.row = row_index
         component_roots.setdefault(node.state.index, {}).setdefault(
             row_index, node
         )
-        graft_children(node, tree_for(ev, node.state), row_index)
+        grow(node, ev if ev in node.state.label else None)
 
     def redirect(node: HNode, target: HNode) -> None:
         source = node.parent

@@ -38,6 +38,7 @@ from .syntax import (
     Unav,
     enf,
     is_gamma,
+    is_successor_formula,
     pnext,
     to_text,
 )
@@ -147,12 +148,6 @@ class Tableau:
     phase: str = "pretableau"
     realization: dict[tuple[int, StateFormula], int] = field(default_factory=dict)
     elimination_trace: list[dict[str, list[int]]] = field(default_factory=list)
-    _prestate_by_label: dict[frozenset[StateFormula], Prestate] = field(
-        default_factory=dict
-    )
-    _state_by_label: dict[frozenset[StateFormula], TState] = field(
-        default_factory=dict
-    )
 
     @property
     def k(self) -> int:
@@ -172,15 +167,17 @@ def _unconditional_step(universe: tuple[int, ...]) -> StateFormula:
 def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
     """Alternate saturation and successor rules from ``{f}`` to a fixpoint."""
     tab = Tableau(input=f, universe=universe)
+    prestate_by_label: dict[frozenset[StateFormula], Prestate] = {}
+    state_by_label: dict[frozenset[StateFormula], TState] = {}
     pending: deque[Prestate] = deque()
     layouts: dict[tuple, list] = {}
 
     def get_prestate(label: frozenset[StateFormula]) -> Prestate:
-        pre = tab._prestate_by_label.get(label)
+        pre = prestate_by_label.get(label)
         if pre is None:
             pre = Prestate(index=len(tab.prestates), label=label)
             tab.prestates.append(pre)
-            tab._prestate_by_label[label] = pre
+            prestate_by_label[label] = pre
             pending.append(pre)
         return pre
 
@@ -189,9 +186,9 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
         pre = pending.popleft()
         for expansion in full_expansions(pre.label):
             label = expansion.label
-            if not any(_is_step(g) for g in label):
+            if not any(is_successor_formula(g) for g in label):
                 label = label | {_unconditional_step(universe)}
-            state = tab._state_by_label.get(label)
+            state = state_by_label.get(label)
             if state is None:
                 state = TState(
                     index=len(tab.states) + 1,
@@ -199,15 +196,11 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
                     linked=dict(expansion.linked),
                 )
                 tab.states.append(state)
-                tab._state_by_label[label] = state
+                state_by_label[label] = state
                 _apply_next(tab, state, get_prestate, layouts)
             if state not in pre.states:
                 pre.states.append(state)
     return tab
-
-
-def _is_step(g: StateFormula) -> bool:
-    return isinstance(g, (Enf, Unav)) and isinstance(g.path, Next)
 
 
 def _next_layout(k: int, enf_positions: tuple, unav_outside: tuple) -> list:

@@ -406,6 +406,68 @@ def test_verify_rejects_strings_where_lists_or_objects_belong(
     assert err.startswith("error:")
 
 
+# Each edit breaks the action box: every state must list exactly one
+# transition per joint profile of its box, into a state of the model.
+
+
+def _drop_transition(data):
+    data["transitions"].pop()
+
+
+def _profile_outside_box(data):
+    data["transitions"][0]["profile"] = [2, 0]
+
+
+def _profile_of_wrong_length(data):
+    data["transitions"][0]["profile"] = [0, 0, 0]
+
+
+def _zero_action_count(data):
+    data["actions"]["1"] = [0, 1]
+
+
+def _actions_for_wrong_agent_count(data):
+    data["actions"]["1"] = [1]
+
+
+def _target_not_a_state(data):
+    data["transitions"][0]["to"] = 99
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_transition, "missing [(6, (0, 0))]"),
+        (_profile_outside_box, "unexpected [(0, (2, 0))]"),
+        (_profile_of_wrong_length, "unexpected [(0, (0, 0, 0))]"),
+        (_zero_action_count, "state 1 must give every agent at least one action"),
+        (_actions_for_wrong_agent_count, "state 1 must give every agent"),
+        (_target_not_a_state, "malformed model description"),
+    ],
+    ids=[
+        "dropped-transition",
+        "profile-outside-box",
+        "profile-wrong-length",
+        "zero-action-count",
+        "actions-wrong-agent-count",
+        "target-not-a-state",
+    ],
+)
+def test_verify_refuses_models_that_break_the_action_box(
+    model_file, tmp_path, capsys, edit, message
+):
+    data = json.loads(model_file.read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("verify", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -1,4 +1,4 @@
-"""Model synthesis: trees, structure assembly, extraction, saturation checks."""
+"""Model synthesis: component growth, assembly, extraction, saturation checks."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from atlplus.cgm import CGM
 from atlplus.checker import check_model
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.synthesis import (
+    HNode,
     SynthesisError,
     assemble,
     eventuality_rows,
@@ -15,12 +16,9 @@ from atlplus.synthesis import (
     hintikka_labels,
     move_cells,
     pending_rows,
-    realizing_tree,
-    simple_tree,
     validate_hintikka,
-    witness_tree,
 )
-from atlplus.syntax import default_universe, parse, to_nnf, to_text
+from atlplus.syntax import default_universe, is_gamma, parse, to_nnf, to_text
 from atlplus.tableau import decide
 
 OPEN = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
@@ -31,63 +29,6 @@ UNIVERSE = (1, 2)
 def open_tableau():
     f = to_nnf(parse(OPEN), UNIVERSE)
     return f, decide(f, UNIVERSE).tableau
-
-
-# ---------------------------------------------------------------------------
-# Trees
-
-
-def test_simple_tree_has_one_child_per_move_cell(open_tableau):
-    _, tab = open_tableau
-    d1 = tab.states[0]
-    t = simple_tree(d1)
-    assert t.state is d1
-    assert t.eventuality is None
-    assert t.edge_labels() == [sigmas for _, sigmas in
-                               [(c.targets, c.sigmas) for c in move_cells(d1)]]
-    assert [(sig, ch.state.index) for sig, ch in t.children] == [
-        (((0, 0), (0, 1)), 3),
-        (((1, 0), (1, 1)), 5),
-    ]
-
-
-def test_witness_tree_rank_one_eventuality(open_tableau):
-    _, tab = open_tableau
-    d1 = tab.states[0]
-    ev = d1.gamma_formulas()[0]
-    assert to_text(ev) == "<<1>>(G q | p U q)"
-    t = witness_tree(tab, ev, d1)
-    # Only the profiles committed to the linked step appear; the single
-    # child is the minimal-rank successor carrying the re-quantified rest.
-    assert [(sig, ch.state.index) for sig, ch in t.children] == [
-        (((0, 0), (0, 1)), 4),
-    ]
-    child = t.children[0][1]
-    assert to_text(child.eventuality) == "<<1>>p U q"
-    assert child.children == []  # rank zero: realized on the spot
-
-
-def test_witness_tree_rank_zero_is_a_leaf(open_tableau):
-    _, tab = open_tableau
-    d1 = tab.states[0]
-    ev = d1.gamma_formulas()[1]
-    assert to_text(ev) == "[[2]](G ~q & true U p)"
-    t = witness_tree(tab, ev, d1)
-    assert t.children == []
-
-
-def test_realizing_tree_completes_to_full_arity(open_tableau):
-    _, tab = open_tableau
-    d1 = tab.states[0]
-    ev = d1.gamma_formulas()[0]
-    t = realizing_tree(tab, ev, d1)
-    assert [(sig, ch.state.index) for sig, ch in t.children] == [
-        (((0, 0), (0, 1)), 4),
-        (((1, 0), (1, 1)), 5),
-    ]
-    witness_child, filler_child = t.children[0][1], t.children[1][1]
-    assert to_text(witness_child.eventuality) == "<<1>>p U q"
-    assert filler_child.eventuality is None
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +85,56 @@ def test_assemble_golden_structure(open_tableau):
     }
 
 
+def test_assemble_routes_committed_profiles_to_the_best_realizer(open_tableau):
+    _, tab = open_tableau
+    d1 = tab.states[0]
+    ev = d1.gamma_formulas()[0]
+    assert to_text(ev) == "<<1>>(G q | p U q)"
+    assert tab.realization[(1, ev)] == 1
+    committed, filler = move_cells(d1)
+    assert [t.index for t in committed.targets] == [3, 4]
+    assert [t.index for t in filler.targets] == [5, 6]
+    st = assemble(tab)
+    assert st.root.state is d1 and st.rows[st.root.row] is ev
+    children = [n for n in st.nodes if n.parent is st.root]
+    # The committed profiles reach D4, where the re-quantified rest
+    # <<1>>p U q has rank 0, not the older D3 where it has rank 1; the
+    # other cell gets a leaf colored with its oldest target.
+    assert [(c.nid, c.parent_sigmas, c.state.index) for c in children] == [
+        (2, ((0, 0), (0, 1)), 4),
+        (3, ((1, 0), (1, 1)), 5),
+    ]
+    next_ev = d1.linked[ev].next_ev
+    assert to_text(next_ev) == "<<1>>p U q"
+    assert tab.realization[(3, next_ev)] == 1
+    assert tab.realization[(4, next_ev)] == 0
+    # Consecutive nids: the rank-0 realizer is left as a leaf, so both
+    # children were dead ends when the row pass grafted row 1 onto them.
+    assert [c.row for c in children] == [1, 1]
+
+
+def test_assemble_grows_a_simple_component_without_the_rows_eventuality(
+    open_tableau,
+):
+    _, tab = open_tableau
+    st = assemble(tab)
+    node = st.nodes[1]
+    assert node.state.index == 4 and node.row == 1
+    assert st.rows[1] not in node.state.label
+    children = [n for n in st.nodes if n.parent is node]
+    assert [(c.parent_sigmas, c.state) for c in children] == [
+        (cell.sigmas, cell.targets[0]) for cell in move_cells(node.state)
+    ]
+
+
 @pytest.mark.parametrize(
     "synthesize",
-    [
-        lambda tab, ev, state: assemble(tab),
-        witness_tree,
-        realizing_tree,
-    ],
-    ids=["assemble", "witness_tree", "realizing_tree"],
+    [lambda tab, ev, state: assemble(tab)],
+    ids=["assemble"],
 )
 def test_assemble_requires_a_final_tableau(synthesize, open_tableau):
     # A pretableau has no realization ranks yet; every reader of them
-    # refuses it rather than build trees from an empty rank table.
+    # refuses it rather than grow components from an empty rank table.
     from atlplus.tableau import build_pretableau
 
     f, _ = open_tableau
@@ -208,6 +187,143 @@ def test_assemble_handles_deferred_obligations_at_dead_ends():
     }
     assert check_model(m, fn, uni).holds
     assert validate_hintikka(m, uni) == []
+
+
+# Reference assembly through explicit trees: each component is built as a
+# (state, [(sigmas, subtree)]) tree -- a witness tree routed by the ranks,
+# then completed to one child per move cell -- and copied node by node into
+# the structure.  Growing components in place must give the same nodes.
+
+
+def _witness_tree(tab, ev, state):
+    ranks = tab.realization
+    if ranks[(state.index, ev)] == 0:
+        return state, []
+    component = state.linked[ev]
+    ev1 = component.next_ev
+    grouped = {}
+    for cell in state.successors:
+        if component.step not in cell.steps:
+            continue
+        ranked = [t for t in cell.target.alive_states() if (t.index, ev1) in ranks]
+        best = min(ranked, key=lambda t: (ranks[(t.index, ev1)], t.index))
+        grouped.setdefault(best.index, (best, []))[1].extend(cell.sigmas)
+    groups = sorted((sorted(sigmas), target) for target, sigmas in grouped.values())
+    return state, [(tuple(sigmas), _witness_tree(tab, ev1, t)) for sigmas, t in groups]
+
+
+def _complete(tree):
+    state, children = tree
+    by_sigma = {sigma: child for sigmas, child in children for sigma in sigmas}
+    completed = []
+    for cell in move_cells(state):
+        child = next((by_sigma[s] for s in cell.sigmas if s in by_sigma), None)
+        if child is None:
+            child = (cell.targets[0], [])
+        elif child[1]:
+            child = _complete(child)
+        completed.append((cell.sigmas, child))
+    return state, completed
+
+
+def _tree_based_assemble(tab):
+    rows = eventuality_rows(tab)
+    n_rows = len(rows)
+    eta = tab.input
+    start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
+    nodes = []
+    component_roots = {}
+
+    def new_node(state):
+        nodes.append(HNode(nid=len(nodes) + 1, state=state))
+        return nodes[-1]
+
+    def graft_children(node, tree, row_index):
+        for sigmas, subtree in tree[1]:
+            child = new_node(subtree[0])
+            child.parent = node
+            child.parent_sigmas = sigmas
+            child.row = row_index
+            for sigma in sigmas:
+                node.edges[sigma] = child
+            graft_children(child, subtree, row_index)
+
+    def graft(node, row_index, ev):
+        node.row = row_index
+        component_roots.setdefault(node.state.index, {}).setdefault(row_index, node)
+        tree = (node.state, [])
+        if ev is not None and ev in node.state.label:
+            tree = _witness_tree(tab, ev, node.state)
+        graft_children(node, _complete(tree), row_index)
+
+    def redirect(node, target):
+        for sigma in node.parent_sigmas:
+            node.parent.edges[sigma] = target
+        node.alive = False
+
+    root = new_node(min(tab.satisfying_states(), key=lambda s: s.index))
+    graft(root, start, rows[start] if rows else None)
+    for offset in range(1, n_rows):
+        row_index = (start + offset) % n_rows
+        for node in [n for n in nodes if n.alive and n.is_dead_end()]:
+            graft(node, row_index, rows[row_index])
+    for node in nodes:
+        if not node.alive or not node.is_dead_end():
+            continue
+        present = component_roots.get(node.state.index, {})
+        deferred = pending_rows(rows, node.state)
+        if deferred:
+            row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
+            match = present.get(row_index)
+            if match is not None:
+                redirect(node, match)
+            else:
+                graft(node, row_index, rows[row_index])
+        elif present:
+            redirect(node, present[min(present)])
+        else:
+            row_index = (node.row + 1) % n_rows if n_rows else 0
+            graft(node, row_index, rows[row_index] if rows else None)
+    return nodes
+
+
+def _node_fields(nodes):
+    return [
+        (
+            n.nid,
+            n.state.index,
+            n.row,
+            n.alive,
+            n.parent.nid if n.parent else None,
+            n.parent_sigmas,
+            [(sigma, child.nid) for sigma, child in n.edges.items()],
+        )
+        for n in nodes
+    ]
+
+
+def test_assemble_matches_the_tree_based_reference():
+    texts = [
+        " & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3)),
+        "[[]]X [[2]](G q & r U p)",
+        OPEN,
+    ]
+    corpus = [parse(t) for t in texts] + random_corpus(
+        5, 300, GenConfig(props=("p", "q"))
+    )
+    compared = 0
+    for raw in corpus:
+        universe = default_universe(raw)
+        d = decide(to_nnf(raw, universe), universe)
+        if not d.sat:
+            continue
+        got = _node_fields(assemble(d.tableau).nodes)
+        expected = _node_fields(_tree_based_assemble(d.tableau))
+        # Report the first differing node: a diff of whole structures is slow.
+        first = next((pair for pair in zip(got, expected) if pair[0] != pair[1]), None)
+        assert first is None and len(got) == len(expected), (to_text(raw), first)
+        compared += 1
+    assert compared > 200
 
 
 # ---------------------------------------------------------------------------
