@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -56,33 +57,47 @@ class CGM:
             raise ModelFormatError("initial state out of range")
         if len(self.props) != self.n_states or len(self.action_counts) != self.n_states:
             raise ModelFormatError("per-state data does not cover every state")
-        expected = set()
-        # action box -> its profiles, shared by the states with that box
-        boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for s, counts in enumerate(self.action_counts):
             if len(counts) != self.agents or any(c < 1 for c in counts):
                 raise ModelFormatError(
                     f"state {self.ids[s]!r} must give every agent at least one action"
                 )
+        if sum(map(math.prod, self.action_counts)) > len(self.transitions):
+            # The boxes promise more profiles than the file lists: find the
+            # first missing ones lazily, never every promised profile.
+            missing = itertools.islice(
+                (
+                    (s, profile)
+                    for s, counts in enumerate(self.action_counts)
+                    for profile in itertools.product(*map(range, counts))
+                    if (s, profile) not in self.transitions
+                ),
+                3,
+            )
+            extra = [key for key in self.transitions if not self._in_box(*key)]
+            raise _cover_error(missing, extra)
+        expected = set()
+        # action box -> its profiles, shared by the states with that box
+        boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for s, counts in enumerate(self.action_counts):
             if counts not in boxes:
                 boxes[counts] = self.profiles(s)
             expected.update([(s, profile) for profile in boxes[counts]])
         given = set(self.transitions)
         if given != expected:
-            missing = expected - given
-            extra = given - expected
-            detail = []
-            if missing:
-                detail.append(f"missing {sorted(missing)[:3]}")
-            if extra:
-                detail.append(f"unexpected {sorted(extra)[:3]}")
-            raise ModelFormatError(
-                "transitions must cover every joint action profile exactly once: "
-                + "; ".join(detail)
-            )
+            raise _cover_error(expected - given, given - expected)
         for (_, _), target in self.transitions.items():
             if not 0 <= target < self.n_states:
                 raise ModelFormatError("transition target out of range")
+
+    def _in_box(self, s: int, profile: tuple[int, ...]) -> bool:
+        """Whether ``profile`` is a joint profile of state ``s``'s box."""
+        if not 0 <= s < self.n_states:
+            return False
+        counts = self.action_counts[s]
+        return len(profile) == len(counts) and all(
+            0 <= a < c for a, c in zip(profile, counts)
+        )
 
     # ------------------------------------------------------------------
     # JSON interchange
@@ -182,7 +197,7 @@ class CGM:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CGM":
         try:
-            agents = int(data["agents"])
+            agents = _int(data["agents"], "agent count")
             ids = []
             props = []
             for entry in data["states"]:
@@ -191,10 +206,15 @@ class CGM:
                 sid = entry["id"]
                 ids.append(sid)
                 names = _list(entry["props"], "props of state", sid)
-                props.append(frozenset(map(str, names)))
+                props.append(
+                    frozenset(_str(n, f"proposition of state {sid!r}") for n in names)
+                )
             actions_raw = data["actions"]
             action_counts = [
-                tuple(map(int, _list(actions_raw[str(sid)], "actions of state", sid)))
+                tuple(
+                    _int(c, f"action count of state {sid!r}")
+                    for c in _list(actions_raw[str(sid)], "actions of state", sid)
+                )
                 for sid in ids
             ]
             index = {sid: i for i, sid in enumerate(ids)}
@@ -202,7 +222,10 @@ class CGM:
             for entry in data["transitions"]:
                 source = index[entry["from"]]
                 moves = _list(entry["profile"], "profile from state", entry["from"])
-                profile = tuple(int(a) for a in moves)
+                profile = tuple(
+                    _int(a, f"profile entry from state {entry['from']!r}")
+                    for a in moves
+                )
                 target = index[entry["to"]]
                 if (source, profile) in transitions:
                     raise ModelFormatError(
@@ -213,7 +236,10 @@ class CGM:
             hintikka = None
             if "hintikka" in data:
                 hintikka = {
-                    str(key): [str(v) for v in _list(value, "annotation of state", key)]
+                    str(key): [
+                        _str(v, f"annotation of state {key!r}")
+                        for v in _list(value, "annotation of state", key)
+                    ]
                     for key, value in data["hintikka"].items()
                 }
         except ModelFormatError:
@@ -249,6 +275,35 @@ def _list(value, what: str, sid) -> list:
     if not isinstance(value, list):
         raise ModelFormatError(f"{what} {sid!r} must be a list, got {value!r}")
     return value
+
+
+def _int(value, what: str) -> int:
+    """``value`` when it is a JSON integer.  ``1.7``, ``"1"`` and ``true``
+    are refused, not coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _str(value, what: str) -> str:
+    """``value`` when it is a JSON string; ``null`` is no name."""
+    if not isinstance(value, str):
+        raise ModelFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _cover_error(missing, extra) -> ModelFormatError:
+    """The refusal of transitions that do not match the action boxes."""
+    missing, extra = sorted(missing)[:3], sorted(extra)[:3]
+    detail = []
+    if missing:
+        detail.append(f"missing {missing}")
+    if extra:
+        detail.append(f"unexpected {extra}")
+    return ModelFormatError(
+        "transitions must cover every joint action profile exactly once: "
+        + "; ".join(detail)
+    )
 
 
 def _list_text(items: list[str], indent: str) -> str:

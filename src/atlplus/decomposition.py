@@ -218,10 +218,7 @@ class GammaComponent:
     formula whose payload ``next_ev`` re-quantifies the remainder.
     """
 
-    source: StateFormula
-    index: int
     now: StateFormula
-    later: PathFormula
     next_ev: StateFormula | None
     step: StateFormula | None
     rendered: StateFormula
@@ -238,17 +235,13 @@ def gamma_components(f: StateFormula) -> tuple[GammaComponent, ...]:
         raise FormulaError(f"not a gamma formula: {f!r}")
     quantify = enf if isinstance(f, Enf) else unav
     components = []
-    for index, (now, later) in enumerate(dec(f.path)):
+    for now, later in dec(f.path):
         if later is ST_TRUE:
-            components.append(
-                GammaComponent(f, index, now, later, None, None, now)
-            )
+            components.append(GammaComponent(now, None, None, now))
         else:
             next_ev = quantify(f.coalition, later)
             step = quantify(f.coalition, pnext(next_ev))
-            components.append(
-                GammaComponent(f, index, now, later, next_ev, step, conj(now, step))
-            )
+            components.append(GammaComponent(now, next_ev, step, conj(now, step)))
     result = tuple(components)
     _GAMMA_CACHE[f] = result
     return result

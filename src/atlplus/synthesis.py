@@ -13,6 +13,7 @@ the tableau that produced it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -66,11 +67,14 @@ class MoveCell:
     """A block of action profiles that lead to the same set of live states.
 
     It merges the tableau cells of a state whose target prestates keep the
-    same surviving states.
+    same surviving states; ``steps`` is the union of their ``Cell.steps``.
+    Each tableau cell falls wholly inside one block, so a profile commits
+    to a step exactly when its block's ``steps`` holds that step.
     """
 
     sigmas: tuple[tuple[int, ...], ...]
     targets: tuple[TState, ...]
+    steps: frozenset[StateFormula]
 
 
 def move_cells(state: TState) -> list[MoveCell]:
@@ -80,7 +84,7 @@ def move_cells(state: TState) -> list[MoveCell]:
     their profiles in lexicographic order; the targets of each cell are
     listed in creation order.
     """
-    blocks: dict[frozenset[int], tuple[tuple[TState, ...], list[tuple[int, ...]]]] = {}
+    blocks: dict[frozenset[int], tuple[tuple[TState, ...], list, set]] = {}
     for cell in state.successors:
         targets = tuple(cell.target.alive_states())
         if not targets:
@@ -88,9 +92,12 @@ def move_cells(state: TState) -> list[MoveCell]:
                 f"{state.name} has a move with no surviving successor"
             )
         key = frozenset(t.index for t in targets)
-        blocks.setdefault(key, (targets, []))[1].extend(cell.sigmas)
+        _, sigmas, steps = blocks.setdefault(key, (targets, [], set()))
+        sigmas.extend(cell.sigmas)
+        steps.update(cell.steps)
     return [
-        MoveCell(tuple(sorted(sigmas)), targets) for targets, sigmas in blocks.values()
+        MoveCell(tuple(sorted(sigmas)), targets, frozenset(steps))
+        for targets, sigmas, steps in blocks.values()
     ]
 
 
@@ -178,7 +185,8 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     so every play keeps meeting the realizing component of every obligation
     it carries.  A dead end with no deferred obligation reroutes to the
     oldest-row component of its state already present, grafting the next
-    row's component when none exists yet.
+    row's component when none exists yet.  The final tableau no longer
+    changes, so each state's move partition is computed once per call.
     """
     ranks = _final_ranks(tab)
     candidates = tab.satisfying_states()
@@ -190,6 +198,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     eta = tab.input
     start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
 
+    cells = functools.cache(move_cells)
     nodes: list[HNode] = []
     # state index -> {row: the first component grafted for that row}
     component_roots: dict[int, dict[int, HNode]] = {}
@@ -209,24 +218,17 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         leads to a leaf colored with its oldest target.
         """
         state = node.state
-        next_ev = None
-        committed: set[tuple[int, ...]] = set()
+        step = next_ev = None
         if ev is not None:
             rank = ranks.get((state.index, ev))
             if rank is None:
                 raise SynthesisError(f"{ev!r} is not realized at {state.name}")
             if rank:
                 component = state.linked[ev]
-                next_ev = component.next_ev
-                committed = {
-                    sigma
-                    for cell in state.successors
-                    if component.step in cell.steps
-                    for sigma in cell.sigmas
-                }
-        for cell in move_cells(state):
+                step, next_ev = component.step, component.next_ev
+        for cell in cells(state):
             target = cell.targets[0]
-            realizing = not committed.isdisjoint(cell.sigmas)
+            realizing = step in cell.steps
             if realizing:
                 ranked = [t for t in cell.targets if (t.index, next_ev) in ranks]
                 if not ranked:
@@ -282,8 +284,11 @@ def assemble(tab: Tableau) -> HintikkaStructure:
             graft(node, row_index, rows[row_index] if rows else None)
 
     structure = HintikkaStructure(tab, rows, nodes, root)
+    box = functools.cache(
+        lambda state: {sigma for cell in cells(state) for sigma in cell.sigmas}
+    )
     for node in structure.alive_nodes():
-        if node.edges.keys() != node.state.moves.keys():
+        if node.edges.keys() != box(node.state):
             raise SynthesisError(
                 f"node {node.nid} does not cover the action box of"
                 f" {node.state.name}"

@@ -10,7 +10,8 @@ coalitions of the steps) and shared, read-only, by the states that have it.
 
 Each state stores its move vectors grouped into cells, one per set of
 successor formulas the vectors commit to; a move leads to the states of
-its cell's target prestate.  Elimination repeatedly removes states that
+its cell's target prestate.  These cells are the only record of a state's
+moves: elimination, synthesis and the DOT export all read them.  Elimination repeatedly removes states that
 either lost all successors for some cell or contain a quantified path
 formula whose eventualities can no longer be realized.  The input is
 satisfiable exactly when a state containing it survives.
@@ -32,7 +33,6 @@ from .decomposition import (
 from .syntax import (
     TRUE,
     Enf,
-    FormulaError,
     Next,
     StateFormula,
     Unav,
@@ -57,9 +57,6 @@ class Prestate:
     def alive_states(self) -> list["TState"]:
         return [s for s in self.states if s.alive]
 
-    def sorted_label(self) -> tuple[StateFormula, ...]:
-        return tuple(sorted(self.label, key=lambda g: g.key))
-
 
 @dataclass
 class Cell:
@@ -68,7 +65,8 @@ class Cell:
     ``steps`` is the set of the state's successor formulas the vectors
     commit to, and ``target`` the prestate of their payloads.  Distinct
     step sets may share a target.  A synthesis ``MoveCell`` is coarser:
-    it merges cells whose targets have the same surviving states.
+    it merges cells whose targets have the same surviving states, and
+    carries the union of their ``steps``.
     ``sigmas`` is shared by the states of one coalition signature: read-only.
     """
 
@@ -98,45 +96,23 @@ class TState:
     def name(self) -> str:
         return f"D{self.index}"
 
-    @property
-    def sigmas(self) -> list[tuple[int, ...]]:
-        """Every move vector, in lexicographic order."""
-        return sorted(self.moves)
-
-    @property
-    def moves(self) -> dict[tuple[int, ...], Prestate]:
-        """Each move vector's target prestate."""
-        return {
-            sigma: cell.target for cell in self.successors for sigma in cell.sigmas
-        }
-
     def __post_init__(self) -> None:
         self._gammas = tuple(sorted(filter(is_gamma, self.label), key=lambda g: g.key))
-
-    def sorted_label(self) -> tuple[StateFormula, ...]:
-        return tuple(sorted(self.label, key=lambda g: g.key))
 
     def gamma_formulas(self) -> tuple[StateFormula, ...]:
         return self._gammas
 
     def cells(self) -> list[tuple[Prestate, list[tuple[int, ...]]]]:
-        """Move vectors grouped by target prestate, in first-vector order."""
+        """Move vectors grouped by target prestate, in first-vector order.
+
+        Only the benchmark's ``tableau.edges`` counter reads this grouping;
+        the solver itself reads ``successors``.
+        """
         grouped: dict[int, tuple[Prestate, list[tuple[int, ...]]]] = {}
         for cell in self.successors:
             pre = cell.target
             grouped.setdefault(pre.index, (pre, []))[1].extend(cell.sigmas)
         return list(grouped.values())
-
-    def move_vectors_for(self, step: StateFormula) -> list[tuple[int, ...]]:
-        """The move vectors committed to the given successor formula."""
-        if step not in self.enf_steps and step not in self.unav_steps:
-            raise FormulaError(f"{step!r} is not a successor formula of {self.name}")
-        return sorted(
-            sigma
-            for cell in self.successors
-            if step in cell.steps
-            for sigma in cell.sigmas
-        )
 
 
 @dataclass
@@ -148,10 +124,6 @@ class Tableau:
     phase: str = "pretableau"
     realization: dict[tuple[int, StateFormula], int] = field(default_factory=dict)
     elimination_trace: list[dict[str, list[int]]] = field(default_factory=list)
-
-    @property
-    def k(self) -> int:
-        return len(self.universe)
 
     def alive_states(self) -> list[TState]:
         return [s for s in self.states if s.alive]
@@ -380,12 +352,20 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _formula_lines(label: tuple[StateFormula, ...]) -> str:
-    return "\\n".join(_dot_escape(to_text(g)) for g in label)
+def _formula_lines(label: frozenset[StateFormula]) -> str:
+    return "\\n".join(_dot_escape(to_text(g)) for g in sorted(label))
 
 
 def _sigma_text(sigma: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in sigma)
+
+
+def _moves(state: TState) -> list[tuple[tuple[int, ...], Prestate]]:
+    """Each move vector of the state with its target prestate, by vector."""
+    return sorted(
+        ((sigma, cell.target) for cell in state.successors for sigma in cell.sigmas),
+        key=lambda move: move[0],
+    )
 
 
 def tableau_dot(tab: Tableau, phase: str) -> str:
@@ -402,18 +382,18 @@ def tableau_dot(tab: Tableau, phase: str) -> str:
         for pre in tab.prestates:
             lines.append(
                 f'  {pre.name} [style=dashed label="{pre.name}\\n'
-                f'{_formula_lines(pre.sorted_label())}"];'
+                f'{_formula_lines(pre.label)}"];'
             )
         for state in tab.states:
             lines.append(
                 f'  {state.name} [style=solid label="{state.name}\\n'
-                f'{_formula_lines(state.sorted_label())}"];'
+                f'{_formula_lines(state.label)}"];'
             )
         for pre in tab.prestates:
             for state in pre.states:
                 lines.append(f'  {pre.name} -> {state.name} [color="black:black"];')
         for state in tab.states:
-            for sigma, pre in sorted(state.moves.items()):
+            for sigma, pre in _moves(state):
                 lines.append(
                     f"  {state.name} -> {pre.name} "
                     f'[label="{_sigma_text(sigma)}"];'
@@ -424,10 +404,10 @@ def tableau_dot(tab: Tableau, phase: str) -> str:
         for state in keep:
             lines.append(
                 f'  {state.name} [style=solid label="{state.name}\\n'
-                f'{_formula_lines(state.sorted_label())}"];'
+                f'{_formula_lines(state.label)}"];'
             )
         for state in keep:
-            for sigma, pre in sorted(state.moves.items()):
+            for sigma, pre in _moves(state):
                 for target in pre.states:
                     if target.index in kept:
                         lines.append(

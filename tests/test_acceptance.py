@@ -147,9 +147,12 @@ def test_a4_next_rule_table(capsys):
             (2, 0): {"c"}, (2, 1): {"c"}, (2, 2): {"c"}, (2, 3): {"d"},
             (3, 0): {"true"}, (3, 1): {"true"}, (3, 2): {"d"}, (3, 3): {"c"},
         }
-        assert set(d1.sigmas) == set(expected)
+        moves = {
+            sigma: cell.target for cell in d1.successors for sigma in cell.sigmas
+        }
+        assert set(moves) == set(expected)
         for sigma, want in expected.items():
-            got = {to_text(g) for g in d1.moves[sigma].label}
+            got = {to_text(g) for g in moves[sigma].label}
             assert got == want, f"profile {sigma}"
 
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -466,6 +467,109 @@ def test_verify_refuses_models_that_break_the_action_box(
     assert code == 2
     assert err.startswith("error:")
     assert message in err
+
+
+# Each edit puts a value of the wrong JSON type where a number or a name
+# belongs.  The loader used to coerce them with int() and str(), so each of
+# these files verified, and a null proposition became one named "None".
+
+
+def _map_counts(fn):
+    def edit(data):
+        for key, counts in data["actions"].items():
+            data["actions"][key] = [fn(c) for c in counts]
+
+    return edit
+
+
+def _map_profiles(fn):
+    def edit(data):
+        for entry in data["transitions"]:
+            entry["profile"] = [fn(a) for a in entry["profile"]]
+
+    return edit
+
+
+def _fractional_agents(data):
+    data["agents"] += 0.7
+
+
+def _string_agents(data):
+    data["agents"] = str(data["agents"])
+
+
+def _null_prop(data):
+    data["states"][0]["props"] = [None]
+
+
+def _number_annotation(data):
+    data["hintikka"]["0"][0] = 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_fractional_agents, "agent count must be an integer, got 2.7"),
+        (_string_agents, "agent count must be an integer, got '2'"),
+        (_map_counts(lambda c: c + 0.9), "must be an integer, got 2.9"),
+        (_map_counts(lambda c: c == 1 or c), "must be an integer, got True"),
+        (_map_counts(str), "must be an integer, got '2'"),
+        (_map_profiles(lambda a: a + 0.5), "must be an integer, got 0.5"),
+        (_map_profiles(bool), "must be an integer, got False"),
+        (_map_profiles(str), "must be an integer, got '0'"),
+        (_null_prop, "proposition of state 0 must be a string, got None"),
+        (_number_annotation, "annotation of state '0' must be a string, got 1"),
+    ],
+    ids=[
+        "fractional-agents",
+        "string-agents",
+        "fractional-action-count",
+        "bool-action-count",
+        "string-action-count",
+        "fractional-profile-entry",
+        "bool-profile-entry",
+        "string-profile-entry",
+        "null-proposition",
+        "number-annotation",
+    ],
+)
+def test_verify_refuses_numbers_and_names_of_the_wrong_type(
+    model_file, tmp_path, capsys, edit, message
+):
+    data = json.loads(model_file.read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("verify", str(path), "None")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert message in err
+
+
+def test_verify_refuses_a_huge_action_box_without_listing_it(tmp_path):
+    # 36 million promised profiles against one transition.  The child runs
+    # under a 1 GB address-space cap, so a loader that materializes the
+    # box fails this test instead of the machine.
+    model = {
+        "agents": 2,
+        "initial": 0,
+        "states": [{"id": 0, "props": []}],
+        "actions": {"0": [6000, 6000]},
+        "transitions": [{"from": 0, "profile": [0, 0], "to": 0}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    cap = 1 << 30
+    result = subprocess.run(
+        [sys.executable, "-m", "atlplus", "verify", str(path)],
+        capture_output=True,
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert result.returncode == 2
+    assert b"missing [(0, (0, 1)), (0, (0, 2)), (0, (0, 3))]" in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from atlplus import synthesis
 from atlplus.cgm import CGM
 from atlplus.checker import check_model
 from atlplus.randgen import GenConfig, random_corpus
@@ -125,6 +126,26 @@ def test_assemble_grows_a_simple_component_without_the_rows_eventuality(
     assert [(c.parent_sigmas, c.state) for c in children] == [
         (cell.sigmas, cell.targets[0]) for cell in move_cells(node.state)
     ]
+
+
+def test_assemble_partitions_each_state_once(monkeypatch):
+    # The final tableau no longer changes, so one call partitions each
+    # state's moves once, however many nodes of that state it grows.
+    calls = []
+
+    def counted(state):
+        calls.append(state.index)
+        return move_cells(state)
+
+    monkeypatch.setattr(synthesis, "move_cells", counted)
+    raw = parse(" & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3)))
+    universe = default_universe(raw)
+    st = assemble(decide(to_nnf(raw, universe), universe).tableau)
+    # Compare plain counts: the default repr of a node walks the structure.
+    n_nodes = len(st.nodes)
+    n_states = len({n.state.index for n in st.nodes})
+    n_calls = len(calls)
+    assert n_calls == n_states == 25 < n_nodes
 
 
 @pytest.mark.parametrize(

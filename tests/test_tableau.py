@@ -129,9 +129,10 @@ def test_next_rule_sixteen_row_table():
         (3, 2): {"d"},
         (3, 3): {"c"},
     }
-    assert set(d1.sigmas) == set(expected)
+    moves = {sigma: cell.target for cell in d1.successors for sigma in cell.sigmas}
+    assert set(moves) == set(expected)
     for sigma, want in expected.items():
-        got = {to_text(g) for g in d1.moves[sigma].label}
+        got = {to_text(g) for g in moves[sigma].label}
         assert got == want, f"profile {sigma}: {got} != {want}"
 
 
@@ -167,7 +168,10 @@ def test_move_vectors_for_successor_formulas(text, committed, cells):
     d1 = tab.states[0]
     steps = d1.enf_steps + d1.unav_steps
     assert {
-        to_text(g): sorted(d1.move_vectors_for(g)) for g in steps
+        to_text(g): sorted(
+            sigma for cell in d1.successors if g in cell.steps for sigma in cell.sigmas
+        )
+        for g in steps
     } == committed
     if cells is not None:
         assert [
@@ -395,7 +399,9 @@ def test_cells_partition_the_action_box(seed):
         seen = []
         for _, sigmas in s.cells():
             seen.extend(sigmas)
-        assert sorted(seen) == sorted(s.sigmas)
+        n_actions = len(s.enf_steps) + len(s.unav_steps)
+        box = itertools.product(range(n_actions), repeat=len(universe))
+        assert sorted(seen) == list(box)
         assert len(seen) == len(set(seen))
 
 
