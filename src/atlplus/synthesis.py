@@ -13,7 +13,6 @@ the tableau that produced it.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -198,10 +197,17 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     eta = tab.input
     start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
 
-    cells = functools.cache(move_cells)
     nodes: list[HNode] = []
+    # state index -> its move partition, computed once per call
+    partitions: dict[int, list[MoveCell]] = {}
     # state index -> {row: the first component grafted for that row}
     component_roots: dict[int, dict[int, HNode]] = {}
+
+    def cells(state: TState) -> list[MoveCell]:
+        found = partitions.get(state.index)
+        if found is None:
+            found = partitions[state.index] = move_cells(state)
+        return found
 
     def new_node(state: TState) -> HNode:
         node = HNode(nid=len(nodes) + 1, state=state)
@@ -284,11 +290,12 @@ def assemble(tab: Tableau) -> HintikkaStructure:
             graft(node, row_index, rows[row_index] if rows else None)
 
     structure = HintikkaStructure(tab, rows, nodes, root)
-    box = functools.cache(
-        lambda state: {sigma for cell in cells(state) for sigma in cell.sigmas}
-    )
+    boxes = {
+        index: {sigma for cell in found for sigma in cell.sigmas}
+        for index, found in partitions.items()
+    }
     for node in structure.alive_nodes():
-        if node.edges.keys() != box(node.state):
+        if node.edges.keys() != boxes.get(node.state.index):
             raise SynthesisError(
                 f"node {node.nid} does not cover the action box of"
                 f" {node.state.name}"
