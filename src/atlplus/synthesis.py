@@ -3,7 +3,8 @@
 Surviving tableau states are grown into components, one child per group of
 action profiles sharing a successor-state set, built directly into a finite
 deterministic structure that realizes every eventuality; the structure is
-then projected to a concurrent game model.  A realizing component follows
+then projected to a concurrent game model.  Each state's groups are read
+off its tableau cells once per synthesis call.  A realizing component follows
 the realization ranks elimination stored on the tableau: profiles committed
 to an eventuality's linked step lead to a successor of minimal rank, every
 other profile group to a leaf.  Dead ends left after gluing are closed off
@@ -217,11 +218,11 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     def grow(node: HNode, ev: StateFormula | None) -> None:
         """Give ``node`` one child per move cell, realizing ``ev`` below it.
 
-        While ``ev`` has a positive rank at the node's state, a cell holding
-        a profile committed to the linked step leads to its best-ranked
-        realizer of the re-quantified remainder (ties to the oldest state),
-        grown in turn while its own rank is positive.  Every other cell
-        leads to a leaf colored with its oldest target.
+        While ``ev`` has a positive rank at the node's state, a cell whose
+        ``steps`` hold the linked step leads to its best-ranked realizer of
+        the re-quantified remainder (ties to the oldest state), grown in
+        turn while its own rank is positive.  Every other cell leads to a
+        leaf colored with its oldest target.
         """
         state = node.state
         step = next_ev = None

@@ -105,8 +105,8 @@ class TState:
     def cells(self) -> list[tuple[Prestate, list[tuple[int, ...]]]]:
         """Move vectors grouped by target prestate, in first-vector order.
 
-        Only the benchmark's ``tableau.edges`` counter reads this grouping;
-        the solver itself reads ``successors``.
+        The solver never reads this grouping; it reads ``successors``.  It
+        stays because the benchmark's ``tableau.edges`` counter counts it.
         """
         grouped: dict[int, tuple[Prestate, list[tuple[int, ...]]]] = {}
         for cell in self.successors:
