@@ -341,11 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+        return int(text)
+
     def add_formula_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("formula", help="formula text, or @path to a file")
         p.add_argument(
             "--extra-agents",
-            type=int,
+            type=count,
             default=0,
             metavar="N",
             help="widen the agent universe by N fresh agents",

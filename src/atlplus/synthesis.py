@@ -7,8 +7,10 @@ then projected to a concurrent game model.  Each state's groups are read
 off its tableau cells once per synthesis call.  A realizing component follows
 the realization ranks elimination stored on the tableau: profiles committed
 to an eventuality's linked step lead to a successor of minimal rank, every
-other profile group to a leaf.  Dead ends left after gluing are closed off
-in one forward pass in node order.  The saturated formula labels travel
+other profile group to a leaf.  Each (eventuality row, state) pair gets at
+most one component: a later dead end of that state in that row links to it
+instead of growing a copy.  Dead ends left after the row pass are closed
+off in one forward pass in node order.  The saturated formula labels travel
 along as annotations so the result can be re-validated independently of
 the tableau that produced it.
 """
@@ -105,25 +107,14 @@ def move_cells(state: TState) -> list[MoveCell]:
 # Assembly
 
 
-def _final_ranks(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
-    """Realization ranks of the surviving states.
-
-    Elimination's last round computed them on exactly the survivors and
-    then removed nothing, so they are final.
-    """
-    if tab.phase != "final":
-        raise SynthesisError("synthesis requires a fully eliminated tableau")
-    return tab.realization
-
-
 @dataclass
 class HNode:
     """Occurrence of a tableau state inside the assembled structure."""
 
     nid: int
     state: TState
-    edges: dict[tuple[int, ...], "HNode"] = field(default_factory=dict)
-    parent: "HNode | None" = None
+    edges: dict[tuple[int, ...], "HNode"] = field(default_factory=dict, repr=False)
+    parent: "HNode | None" = field(default=None, repr=False)
     parent_sigmas: tuple[tuple[int, ...], ...] = ()
     alive: bool = True
     row: int = 0
@@ -171,24 +162,26 @@ def pending_rows(rows: list[StateFormula], state: TState) -> list[int]:
 def assemble(tab: Tableau) -> HintikkaStructure:
     """Grow components into a finite structure realizing every eventuality.
 
-    The queue of eventualities starts at the input formula's own row when
-    the input is itself an eventuality and at the first row otherwise; the
-    root is the oldest surviving state containing the input.  One pass over
-    the queue grows every dead end, in place, into the current row's
-    component for the dead end's state: the realizing component when the
-    state carries the row's eventuality, the simple one (a leaf per move
-    cell) otherwise.  Remaining dead ends are then closed off in one
-    forward pass in node order, which also visits the nodes that grafting
-    appends.  A dead end whose state still defers some eventuality continues
-    the row cycle restricted to the deferred rows: it reuses that exact
-    (row, state) component when one already occurs and grafts it otherwise,
-    so every play keeps meeting the realizing component of every obligation
-    it carries.  A dead end with no deferred obligation reroutes to the
-    oldest-row component of its state already present, grafting the next
-    row's component when none exists yet.  The final tableau no longer
-    changes, so each state's move partition is computed once per call.
+    ``graft`` builds at most one component per (eventuality row, state) and
+    links every later dead end of that state and row to it, so there are at
+    most rows x states components.  A component is the realizing one when
+    the state carries the row's eventuality and the simple one (a leaf per
+    move cell) otherwise.  The root is the oldest surviving state containing
+    the input, grafted with the input's own row when the input is an
+    eventuality and with the first row otherwise.  One pass over the other
+    rows, in cyclic order, grafts every dead end with the current row.  The
+    dead ends left are closed off in one forward pass in node order, which
+    also visits the nodes that grafting appends: each is grafted with the
+    nearest row after its own that its state defers, so every play keeps
+    meeting the realizing component of every obligation it carries; failing
+    that, with the oldest row its state already has, else the next row.
+    The final tableau no longer changes, so each state's move partition is
+    computed once per call.
     """
-    ranks = _final_ranks(tab)
+    if tab.phase != "final":
+        raise SynthesisError("synthesis requires a fully eliminated tableau")
+    # Elimination's last round ranked exactly the survivors, so these are final.
+    ranks = tab.realization
     candidates = tab.satisfying_states()
     if not candidates:
         raise SynthesisError("input is unsatisfiable; nothing to synthesize")
@@ -201,7 +194,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     nodes: list[HNode] = []
     # state index -> its move partition, computed once per call
     partitions: dict[int, list[MoveCell]] = {}
-    # state index -> {row: the first component grafted for that row}
+    # state index -> {row: the root of that (row, state) component}
     component_roots: dict[int, dict[int, HNode]] = {}
 
     def cells(state: TState) -> list[MoveCell]:
@@ -250,25 +243,26 @@ def assemble(tab: Tableau) -> HintikkaStructure:
             if realizing and ranks[(target.index, next_ev)]:
                 grow(child, next_ev)
 
-    def graft(node: HNode, row_index: int, ev: StateFormula | None) -> None:
+    def graft(node: HNode, row_index: int) -> None:
+        """Link ``node`` to its state's component for the row, or grow it."""
+        present = component_roots.setdefault(node.state.index, {})
+        match = present.get(row_index)
+        if match is not None:
+            for sigma in node.parent_sigmas:
+                node.parent.edges[sigma] = match
+            node.alive = False
+            return
+        present[row_index] = node
         node.row = row_index
-        component_roots.setdefault(node.state.index, {}).setdefault(
-            row_index, node
-        )
+        ev = rows[row_index] if rows else None
         grow(node, ev if ev in node.state.label else None)
 
-    def redirect(node: HNode, target: HNode) -> None:
-        source = node.parent
-        for sigma in node.parent_sigmas:
-            source.edges[sigma] = target
-        node.alive = False
-
     root = new_node(min(candidates, key=lambda s: s.index))
-    graft(root, start, rows[start] if rows else None)
+    graft(root, start)
     for offset in range(1, n_rows):
         row_index = (start + offset) % n_rows
         for node in [n for n in nodes if n.alive and n.is_dead_end()]:
-            graft(node, row_index, rows[row_index])
+            graft(node, row_index)
 
     # Edges are never removed, dead nodes never revive and grafting only
     # appends, so the node reached here is always the oldest open dead end.
@@ -279,16 +273,11 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         deferred = pending_rows(rows, node.state)
         if deferred:
             row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
-            match = present.get(row_index)
-            if match is not None:
-                redirect(node, match)
-            else:
-                graft(node, row_index, rows[row_index])
         elif present:
-            redirect(node, present[min(present)])
+            row_index = min(present)
         else:
             row_index = (node.row + 1) % n_rows if n_rows else 0
-            graft(node, row_index, rows[row_index] if rows else None)
+        graft(node, row_index)
 
     structure = HintikkaStructure(tab, rows, nodes, root)
     boxes = {

@@ -48,7 +48,7 @@ from .syntax import (
 class Prestate:
     index: int
     label: frozenset[StateFormula]
-    states: list["TState"] = field(default_factory=list)
+    states: list["TState"] = field(default_factory=list, repr=False)
 
     @property
     def name(self) -> str:
@@ -70,7 +70,7 @@ class Cell:
     ``sigmas`` is shared by the states of one coalition signature: read-only.
     """
 
-    target: Prestate
+    target: Prestate = field(repr=False)
     steps: frozenset[StateFormula]
     sigmas: tuple[tuple[int, ...], ...]
 
@@ -89,7 +89,7 @@ class TState:
     linked: dict[StateFormula, GammaComponent]
     enf_steps: list[StateFormula] = field(default_factory=list)
     unav_steps: list[StateFormula] = field(default_factory=list)
-    successors: list[Cell] = field(default_factory=list)
+    successors: list[Cell] = field(default_factory=list, repr=False)
     alive: bool = True
 
     @property

@@ -1,11 +1,15 @@
 """Model-checking oracle: demo models, semantic laws, error guards."""
 
+import ast
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from atlplus import checker
 from atlplus.cgm import CGM
 from atlplus.checker import CheckError, ModelChecker, check_model
 from atlplus.enumeration import enumerate_cgms, sample_cgm
@@ -359,3 +363,19 @@ def test_one_checker_answers_a_sequence_like_fresh_checkers():
         shared = ModelChecker(m, (1, 2))
         for f in formulas + formulas:
             assert shared.states_where(f) == ModelChecker(m, (1, 2)).states_where(f)
+
+
+def test_checker_imports_only_cgm_syntax_and_the_stdlib():
+    # The oracle certifies models independently of the tableau: it may
+    # read models and formulas, and nothing else of the package.
+    tree = ast.parse(Path(checker.__file__).read_text(encoding="utf-8"))
+    local, external = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            external.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            external.update(alias.name.split(".")[0] for alias in node.names)
+    assert local == {"cgm", "syntax"}
+    assert external <= sys.stdlib_module_names

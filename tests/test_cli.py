@@ -183,6 +183,13 @@ def test_extra_agents_widen_the_universe(capsys):
     assert "<<2>>X true" in out and "<<3>>X true" in out
 
 
+def test_extra_agents_refuses_a_negative_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check", "<<1>>F p", "--extra-agents", "-3")
+    assert exc.value.code == 2
+    assert "--extra-agents: must not be negative: -3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -270,15 +277,18 @@ def _synth_digests(texts, capsys):
 
 
 def test_synth_matches_golden_digests_on_the_corpus(capsys):
-    # The first 100 corpus formulas reach every close-off branch of
-    # assembly: redirect and graft, with and without deferred rows.
+    # The first 100 corpus formulas reach every branch of assembly's graft:
+    # a link in the row pass (<<1>>(G [[]]G p | X ~p) and two more), a
+    # link to the nearest deferred row (<<1>>(X <<>>q U p & p U p)), a
+    # link to the oldest row present, and a new component with deferred
+    # rows (<<1,2>>X [[1]]q U ~q) and without them.
     corpus = random_corpus(7, 100, GenConfig(props=("p", "q")))
     texts = [to_text(f) for f in corpus]
     assert _synth_digests(texts, capsys) == SYNTH_DIGESTS["corpus"]
 
 
 def test_synth_matches_golden_digests_on_family_formulas(capsys):
-    # 291 and 111 model states: several agents, rows and grafted components.
+    # 41 and 33 model states: several agents, rows and linked components.
     texts = list(SYNTH_DIGESTS["family"])
     assert _synth_digests(texts, capsys) == SYNTH_DIGESTS["family"]
 

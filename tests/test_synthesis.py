@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 from atlplus import synthesis
 from atlplus.cgm import CGM
 from atlplus.checker import check_model
+from atlplus.decomposition import closure, gamma_components
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.synthesis import (
     HNode,
@@ -141,7 +142,6 @@ def test_assemble_partitions_each_state_once(monkeypatch):
     raw = parse(" & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3)))
     universe = default_universe(raw)
     st = assemble(decide(to_nnf(raw, universe), universe).tableau)
-    # Compare plain counts: the default repr of a node walks the structure.
     n_nodes = len(st.nodes)
     n_states = len({n.state.index for n in st.nodes})
     n_calls = len(calls)
@@ -210,6 +210,63 @@ def test_assemble_handles_deferred_obligations_at_dead_ends():
     assert validate_hintikka(m, uni) == []
 
 
+FAMILIES = {
+    "F&G 3": " & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3)),
+    "F&G 4": " & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3, 4)),
+    "dis4": " & ".join(f"<<{i}>>(F p{i} | G q)" for i in (1, 2, 3, 4))
+    + " & [[1]]F ~q",
+    "F&G 5": " & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n_states",
+    [("F&G 3", 41), ("F&G 4", 113), ("dis4", 195), ("F&G 5", 289)],
+)
+def test_assemble_links_dead_ends_to_existing_components(name, n_states):
+    # One component per (row, state): copying one under every dead end
+    # gave 291, 5,524, 38,988 and 134,965 states.
+    raw = parse(FAMILIES[name])
+    universe = default_universe(raw)
+    f = to_nnf(raw, universe)
+    m = extract_cgm(assemble(decide(f, universe).tableau))
+    assert m.n_states == n_states
+    assert validate_hintikka(m, universe) == []
+    assert check_model(m, f, universe).holds
+
+
+def test_remainders_never_return_to_an_earlier_eventuality():
+    # Linking is sound because a remainder (next_ev) either repeats its
+    # eventuality or moves to one it never comes back from: a cycle of
+    # the structure then tracks one fixed eventuality, and the rows the
+    # cycle passes through reach that eventuality's realizing component.
+    texts = list(FAMILIES.values()) + [OPEN, "[[]]X [[2]](G q & r U p)"]
+    formulas = [parse(t) for t in texts]
+    formulas += random_corpus(5, 300, GenConfig(props=("p", "q")))
+    formulas += random_corpus(5, 300, GenConfig(bool_depth=2, max_size=16))
+    later = {}
+    for raw in formulas:
+        for g in closure(to_nnf(raw, default_universe(raw))):
+            if is_gamma(g):
+                later[g] = {c.next_ev for c in gamma_components(g)} - {None, g}
+    assert len(later) > 500
+    # Peeling the eventualities whose remainders are all peeled empties
+    # the graph exactly when its only cycles are self-loops.
+    while later:
+        peeled = [g for g, rest in later.items() if not rest & later.keys()]
+        assert peeled, sorted(to_text(g) for g in later)[:5]
+        for g in peeled:
+            del later[g]
+
+
+def test_reprs_stay_short(open_tableau):
+    # Linked structures share nodes: a repr must not follow the links.
+    _, tab = open_tableau
+    root = assemble(tab).root
+    for obj in (root, root.state, tab.prestates[0]):
+        assert len(repr(obj)) < 2000
+
+
 # Reference assembly through explicit trees: each component is built as a
 # (state, [(sigmas, subtree)]) tree -- a witness tree routed by the ranks,
 # then completed to one child per move cell -- and copied node by node into
@@ -269,25 +326,28 @@ def _tree_based_assemble(tab):
                 node.edges[sigma] = child
             graft_children(child, subtree, row_index)
 
-    def graft(node, row_index, ev):
+    def graft(node, row_index):
+        # One component per (row, state): a later dead end links to it.
+        present = component_roots.setdefault(node.state.index, {})
+        if row_index in present:
+            for sigma in node.parent_sigmas:
+                node.parent.edges[sigma] = present[row_index]
+            node.alive = False
+            return
+        present[row_index] = node
         node.row = row_index
-        component_roots.setdefault(node.state.index, {}).setdefault(row_index, node)
         tree = (node.state, [])
+        ev = rows[row_index] if rows else None
         if ev is not None and ev in node.state.label:
             tree = _witness_tree(tab, ev, node.state)
         graft_children(node, _complete(tree), row_index)
 
-    def redirect(node, target):
-        for sigma in node.parent_sigmas:
-            node.parent.edges[sigma] = target
-        node.alive = False
-
     root = new_node(min(tab.satisfying_states(), key=lambda s: s.index))
-    graft(root, start, rows[start] if rows else None)
+    graft(root, start)
     for offset in range(1, n_rows):
         row_index = (start + offset) % n_rows
         for node in [n for n in nodes if n.alive and n.is_dead_end()]:
-            graft(node, row_index, rows[row_index])
+            graft(node, row_index)
     for node in nodes:
         if not node.alive or not node.is_dead_end():
             continue
@@ -295,16 +355,11 @@ def _tree_based_assemble(tab):
         deferred = pending_rows(rows, node.state)
         if deferred:
             row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
-            match = present.get(row_index)
-            if match is not None:
-                redirect(node, match)
-            else:
-                graft(node, row_index, rows[row_index])
         elif present:
-            redirect(node, present[min(present)])
+            row_index = min(present)
         else:
             row_index = (node.row + 1) % n_rows if n_rows else 0
-            graft(node, row_index, rows[row_index] if rows else None)
+        graft(node, row_index)
     return nodes
 
 
