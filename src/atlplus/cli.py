@@ -346,6 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must not be negative: {text}")
         return int(text)
 
+    def positive(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        return int(text)
+
     def add_formula_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("formula", help="formula text, or @path to a file")
         p.add_argument(
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-closure",
-            type=int,
+            type=positive,
             default=DEFAULT_CLOSURE_LIMIT,
             metavar="N",
             help="abort if the formula closure exceeds N entries",

@@ -6,7 +6,9 @@ into its full expansions, the *states*.  Applying the successor rule to a
 state reads off its single-step quantified formulas; each joint choice of
 the agents, a move vector, leads to the prestate of the payloads it commits
 to.  The vectors are computed once per coalition signature (the ordered
-coalitions of the steps) and shared, read-only, by the states that have it.
+coalitions of the steps) and shared, read-only, by the states that have it;
+the cells are computed once per step set (the state's successor formulas),
+and states with one step set share one read-only ``successors`` list.
 
 Each state stores its move vectors grouped into cells, one per set of
 successor formulas the vectors commit to; a move leads to the states of
@@ -67,7 +69,8 @@ class Cell:
     step sets may share a target.  A synthesis ``MoveCell`` is coarser:
     it merges cells whose targets have the same surviving states, and
     carries the union of their ``steps``.
-    ``sigmas`` is shared by the states of one coalition signature: read-only.
+    ``sigmas`` is shared by the states of one coalition signature, and the
+    cell itself by the states of one step set: both are read-only.
     """
 
     target: Prestate = field(repr=False)
@@ -80,8 +83,10 @@ class TState:
     """A saturated node; ``successors`` holds its move vectors as cells.
 
     The cells appear in order of their first move vector, and each lists
-    its vectors in lexicographic order.  A tableau keeps one state per
-    label, so states compare by identity.
+    its vectors in lexicographic order.  States with one step set share
+    one read-only ``successors`` list, and their ``enf_steps`` and
+    ``unav_steps``.  A tableau keeps one state per label, so states
+    compare by identity.
     """
 
     index: int
@@ -143,6 +148,9 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
     state_by_label: dict[frozenset[StateFormula], TState] = {}
     pending: deque[Prestate] = deque()
     layouts: dict[tuple, list] = {}
+    # The moves depend on the successor formulas alone: the first state
+    # with a step set computes them, and later ones share its lists.
+    moves_by_steps: dict[frozenset[StateFormula], TState] = {}
 
     def get_prestate(label: frozenset[StateFormula]) -> Prestate:
         pre = prestate_by_label.get(label)
@@ -158,8 +166,10 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
         pre = pending.popleft()
         for expansion in full_expansions(pre.label):
             label = expansion.label
-            if not any(is_successor_formula(g) for g in label):
-                label = label | {_unconditional_step(universe)}
+            steps = frozenset(filter(is_successor_formula, label))
+            if not steps:
+                steps = frozenset({_unconditional_step(universe)})
+                label = label | steps
             state = state_by_label.get(label)
             if state is None:
                 state = TState(
@@ -169,7 +179,14 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
                 )
                 tab.states.append(state)
                 state_by_label[label] = state
-                _apply_next(tab, state, get_prestate, layouts)
+                first = moves_by_steps.get(steps)
+                if first is None:
+                    moves_by_steps[steps] = state
+                    _apply_next(tab, state, get_prestate, layouts)
+                else:
+                    state.enf_steps = first.enf_steps
+                    state.unav_steps = first.unav_steps
+                    state.successors = first.successors
             if state not in pre.states:
                 pre.states.append(state)
     return tab
@@ -251,6 +268,10 @@ def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
     while changed:
         level += 1
         changed = False
+        # (prestate index, remainder) -> some live state of the prestate
+        # ranks the remainder below ``level``.  Exact for the whole level:
+        # ranks assigned during it equal ``level`` and never pass the test.
+        reaches: dict[tuple[int, StateFormula], bool] = {}
         for s, g in pairs:
             if (s.index, g) in rank:
                 continue
@@ -258,14 +279,20 @@ def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
             if component.step is None:
                 continue  # dischargeable only locally, and the label said no
             ev1 = component.next_ev
-            if all(
-                any(
-                    rank.get((t.index, ev1), level) < level
-                    for t in cell.target.states if t.alive
-                )
-                for cell in s.successors
-                if component.step in cell.steps
-            ):
+            for cell in s.successors:
+                if component.step not in cell.steps:
+                    continue
+                key = (cell.target.index, ev1)
+                hit = reaches.get(key)
+                if hit is None:
+                    hit = reaches[key] = any(
+                        rank.get((t.index, ev1), level) < level
+                        for t in cell.target.states
+                        if t.alive
+                    )
+                if not hit:
+                    break
+            else:
                 rank[(s.index, g)] = level
                 changed = True
     return rank
@@ -290,10 +317,11 @@ def eliminate_states(tab: Tableau) -> list[dict[str, list[int]]]:
         ]
         for s in removed_unrealized:
             s.alive = False
+        live = [any(t.alive for t in pre.states) for pre in tab.prestates]
         removed_stuck = [
             s
             for s in tab.alive_states()
-            if any(not any(t.alive for t in c.target.states) for c in s.successors)
+            if not all(live[c.target.index] for c in s.successors)
         ]
         for s in removed_stuck:
             s.alive = False

@@ -190,6 +190,23 @@ def test_extra_agents_refuses_a_negative_count(capsys):
     assert "--extra-agents: must not be negative: -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("-5", "must be positive: -5"),
+        ("0", "must be positive: 0"),
+        ("x", "invalid positive value: 'x'"),
+    ],
+)
+def test_max_closure_refuses_anything_but_a_positive_count(value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check", "p", "--max-closure", value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--max-closure: {message}" in err
+    assert "exceeded" not in err
+
+
 # ---------------------------------------------------------------------------
 # synth
 

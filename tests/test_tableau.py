@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from atlplus.decomposition import realized_now
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import (
     TRUE,
@@ -17,7 +18,7 @@ from atlplus.syntax import (
     to_nnf,
     to_text,
 )
-from atlplus.tableau import _next_layout, build_pretableau, decide
+from atlplus.tableau import _next_layout, build_pretableau, decide, eliminate_states
 
 CLOSED = "<<1>>(p U q | G q) & <<2>>(F p & G ~q)"
 OPEN = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
@@ -274,6 +275,20 @@ def test_states_with_one_coalition_signature_share_their_vectors():
     assert len(distinct) == per_signature
 
 
+def test_states_with_one_step_set_share_their_moves():
+    d = run(AGENTS4_SAT)
+    first_by_steps = {}
+    for s in d.tableau.states:
+        steps = frozenset(filter(is_successor_formula, s.label))
+        first = first_by_steps.setdefault(steps, s)
+        assert s.successors is first.successors
+        assert s.enf_steps is first.enf_steps
+        assert s.unav_steps is first.unav_steps
+    assert len(d.tableau.states) == 4381
+    assert len(first_by_steps) == 512
+    assert len({id(s.successors) for s in d.tableau.states}) == 512
+
+
 @pytest.mark.parametrize(
     "text, sat, counts",
     [
@@ -294,6 +309,94 @@ def test_multi_agent_family_golden_counts(text, sat, counts):
         len(cells),
         sum(len(c.sigmas) for c in cells),
     ) == counts
+
+
+# ---------------------------------------------------------------------------
+# Elimination against the per-pair reference
+
+
+def _reference_realization(tab):
+    """Ranks found by testing every cell's target states for every pair."""
+    pairs = [(s, g) for s in tab.alive_states() for g in s.gamma_formulas()]
+    rank = {}
+    for s, g in pairs:
+        if realized_now(g.path, s.label):
+            rank[(s.index, g)] = 0
+    level = 0
+    changed = True
+    while changed:
+        level += 1
+        changed = False
+        for s, g in pairs:
+            if (s.index, g) in rank:
+                continue
+            component = s.linked[g]
+            if component.step is None:
+                continue
+            ev1 = component.next_ev
+            if all(
+                any(
+                    rank.get((t.index, ev1), level) < level
+                    for t in cell.target.states
+                    if t.alive
+                )
+                for cell in s.successors
+                if component.step in cell.steps
+            ):
+                rank[(s.index, g)] = level
+                changed = True
+    return rank
+
+
+def _reference_eliminate(tab):
+    """Elimination whose stuck rule scans each cell's target states."""
+    trace = []
+    while True:
+        rank = _reference_realization(tab)
+        tab.realization = rank
+        unrealized = [
+            s
+            for s in tab.alive_states()
+            if any((s.index, g) not in rank for g in s.gamma_formulas())
+        ]
+        for s in unrealized:
+            s.alive = False
+        stuck = [
+            s
+            for s in tab.alive_states()
+            if any(not any(t.alive for t in c.target.states) for c in s.successors)
+        ]
+        for s in stuck:
+            s.alive = False
+        if not unrealized and not stuck:
+            break
+        trace.append(
+            {
+                "unrealized": [s.index for s in unrealized],
+                "stuck": [s.index for s in stuck],
+            }
+        )
+    tab.elimination_trace = trace
+
+
+def test_elimination_matches_the_per_pair_reference():
+    texts = [AGENTS4_SAT, AGENTS4_UNSAT, OPEN]
+    formulas = [parse(t) for t in texts]
+    formulas += random_corpus(5, 300, GenConfig(props=("p", "q")))
+    deep_ranks = 0
+    for raw in formulas:
+        universe = default_universe(raw)
+        f = to_nnf(raw, universe)
+        got = build_pretableau(f, universe)
+        eliminate_states(got)
+        want = build_pretableau(f, universe)
+        _reference_eliminate(want)
+        assert got.realization == want.realization, to_text(raw)
+        assert got.elimination_trace == want.elimination_trace, to_text(raw)
+        assert [s.alive for s in got.states] == [s.alive for s in want.states]
+        deep_ranks += max(got.realization.values(), default=0) > 1
+    # Deeper ranks exercise the per-level reset of the memo.
+    assert deep_ranks > 0
 
 
 # ---------------------------------------------------------------------------
