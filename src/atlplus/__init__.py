@@ -13,7 +13,6 @@ from .decomposition import (
     DEFAULT_CLOSURE_LIMIT,
     ClosureLimitError,
     DecPair,
-    Expansion,
     GammaComponent,
     closure,
     dec,
@@ -72,7 +71,6 @@ __all__ = [
     "DEFAULT_CLOSURE_LIMIT",
     "DecPair",
     "Decision",
-    "Expansion",
     "FALSE",
     "FormulaError",
     "GammaComponent",

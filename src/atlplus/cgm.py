@@ -235,12 +235,15 @@ class CGM:
             initial = index[data["initial"]]
             hintikka = None
             if "hintikka" in data:
+                notes = data["hintikka"]
+                if not isinstance(notes, dict):
+                    raise ModelFormatError(f"hintikka must be an object, got {notes!r}")
                 hintikka = {
                     str(key): [
                         _str(v, f"annotation of state {key!r}")
                         for v in _list(value, "annotation of state", key)
                     ]
-                    for key, value in data["hintikka"].items()
+                    for key, value in notes.items()
                 }
         except ModelFormatError:
             raise

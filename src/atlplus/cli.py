@@ -424,8 +424,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FormulaError, ModelFormatError, CheckError, SynthesisError, OSError) as exc:
-        # FormulaError covers ClosureLimitError, the closure budget.
+    except (
+        FormulaError,
+        ModelFormatError,
+        CheckError,
+        SynthesisError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
+        # FormulaError covers ClosureLimitError, the closure budget;
+        # UnicodeDecodeError a formula or model file that is not UTF-8.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a crash must never read as a verdict

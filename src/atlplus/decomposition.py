@@ -12,14 +12,16 @@ nothing remains) or the conjunction of the now-part with a single-step
 quantified successor formula.  Choosing one component per gamma formula,
 one disjunct per disjunction and both conjuncts of every conjunction
 saturates a label into its *full expansions* -- the downward-closed,
-clash-free supersets that become tableau states.
+clash-free supersets that become tableau states.  Expansions are bare
+labels: the component a gamma formula is linked to is derived from the
+label alone by :func:`gamma_links`, once per tableau state.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 from .syntax import (
     FALSE,
@@ -43,7 +45,6 @@ from .syntax import (
     Until,
     classify,
     conj,
-    disj,
     enf,
     is_gamma,
     is_successor_formula,
@@ -73,80 +74,51 @@ class DecPair(NamedTuple):
 # Slot canonicalization: flatten, drop units, dedup, sort, fold.
 
 
-def _canon_state(
-    parts: Iterable[StateFormula],
-    node_cls: type,
-    unit: StateFormula,
-    absorber: StateFormula,
-    mk: Callable[[StateFormula, StateFormula], StateFormula],
-) -> StateFormula:
-    """Flatten ``node_cls`` nodes, drop ``unit``, dedup, sort and fold with
-    ``mk``; any ``absorber`` operand absorbs the whole."""
-    flat: dict[StateFormula, None] = {}
-
-    def add(g: StateFormula) -> None:
+def _flatten(parts: Iterable, node_cls: type, unit) -> set:
+    """The operands of the nested ``node_cls`` nodes of ``parts``, without
+    ``unit``.  Iterative, so a chain of any depth flattens."""
+    atoms = set()
+    stack = list(parts)
+    while stack:
+        g = stack.pop()
         if isinstance(g, node_cls):
-            add(g.lhs)
-            add(g.rhs)
+            stack.append(g.lhs)
+            stack.append(g.rhs)
         elif g is not unit:
-            flat[g] = None
+            atoms.add(g)
+    return atoms
 
-    for part in parts:
-        add(part)
-    if absorber in flat:
-        return absorber
-    out = unit
-    for g in sorted(flat, key=lambda x: x.key):
+
+def _fold(mk: Callable, start, atoms: Iterable):
+    """``start`` joined by ``mk`` with each of ``atoms`` in key order."""
+    out = start
+    for g in sorted(atoms, key=lambda x: x.key):
         out = mk(out, g)
     return out
 
 
-_CONJ = (And, TRUE, FALSE, conj)
-_DISJ = (Or, FALSE, TRUE, disj)
+def _canon_state(parts: Iterable[StateFormula]) -> StateFormula:
+    """The canonical conjunction of ``parts``: flattened, without ``true``,
+    deduplicated and folded in key order (``conj`` folds in ``false``)."""
+    return _fold(conj, TRUE, _flatten(parts, And, TRUE))
 
 
-def _flatten_path(p: PathFormula, node_cls: type) -> Iterator[PathFormula]:
-    if isinstance(p, node_cls):
-        yield from _flatten_path(p.lhs, node_cls)
-        yield from _flatten_path(p.rhs, node_cls)
-    else:
-        yield p
+def _canon_path(parts: Iterable[PathFormula], node_cls: type) -> PathFormula:
+    """The canonical ``PAnd`` or ``POr`` join of ``parts``.
 
-
-def _canon_path(
-    parts: Iterable[PathFormula],
-    node_cls: type,
-    unit: St,
-    absorber: St,
-    mk: Callable[[PathFormula, PathFormula], PathFormula],
-    state_ops: tuple,
-) -> PathFormula:
-    """Flatten ``node_cls`` nodes; the state atoms fold into one state part
-    canonicalized by ``state_ops``, then the sorted temporal atoms join it
-    by ``mk``.  ``unit`` and ``absorber`` wrap the state-level ones."""
-    temporal: dict[PathFormula, None] = {}
-    state_atoms: list[StateFormula] = []
-    for part in parts:
-        for atom in _flatten_path(part, node_cls):
-            if isinstance(atom, St):
-                state_atoms.append(atom.state)
-            else:
-                temporal[atom] = None
-    state_part = _canon_state(state_atoms, *state_ops)
-    if state_part is absorber.state:
-        return absorber
-    out = unit if state_part is unit.state else st(state_part)
-    for p in sorted(temporal, key=lambda x: x.key):
-        out = mk(out, p)
-    return out
-
-
-_PAND = (PAnd, ST_TRUE, ST_FALSE, pand, _CONJ)
-_POR = (POr, ST_FALSE, ST_TRUE, por, _DISJ)
+    The state atoms, with their own ``And`` (``Or``) nodes flattened too,
+    fold into one state part (``pand`` and ``por`` join two state atoms into one),
+    which the sorted temporal atoms then join.
+    """
+    unit, mk, inner = (ST_TRUE, pand, And) if node_cls is PAnd else (ST_FALSE, por, Or)
+    atoms = _flatten(parts, node_cls, unit)
+    states = [a.state for a in atoms if isinstance(a, St)]
+    state_part = _fold(mk, unit, map(st, _flatten(states, inner, unit.state)))
+    return _fold(mk, state_part, [a for a in atoms if not isinstance(a, St)])
 
 
 def _pair(now_parts: Iterable[StateFormula], later: PathFormula) -> DecPair:
-    return DecPair(_canon_state(now_parts, *_CONJ), later)
+    return DecPair(_canon_state(now_parts), later)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +149,7 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
         left = dec(p.lhs)
         right = dec(p.rhs)
         out = [
-            DecPair(
-                _canon_state([a.now, b.now], *_CONJ),
-                _canon_path([a.later, b.later], *_PAND),
-            )
+            _pair([a.now, b.now], _canon_path([a.later, b.later], PAnd))
             for a in left
             for b in right
         ]
@@ -192,12 +161,7 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
             for b in right:
                 if a.later is ST_TRUE or b.later is ST_TRUE:
                     continue
-                out.append(
-                    DecPair(
-                        _canon_state([a.now, b.now], *_CONJ),
-                        _canon_path([a.later, b.later], *_POR),
-                    )
-                )
+                out.append(_pair([a.now, b.now], _canon_path([a.later, b.later], POr)))
     else:
         raise FormulaError(f"cannot decompose {p!r}")
     deduped: dict[DecPair, None] = {}
@@ -287,25 +251,14 @@ def realized_now(p: PathFormula, label: frozenset[StateFormula]) -> bool:
 # Full expansions
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """A saturated, clash-free label together with the component each
-    gamma formula in it is linked to (the first of its components whose
-    rendered formula made it into the label)."""
-
-    label: frozenset[StateFormula]
-    linked: dict[StateFormula, GammaComponent] = field(compare=False)
-
-
 @dataclass
 class _Branch:
-    order: list[StateFormula]
     members: set[StateFormula]
     queue: deque[StateFormula]
     dead: bool = False
 
     def clone(self) -> "_Branch":
-        return _Branch(list(self.order), set(self.members), deque(self.queue))
+        return _Branch(set(self.members), deque(self.queue))
 
     def add(self, f: StateFormula) -> None:
         if self.dead or f in self.members:
@@ -316,25 +269,27 @@ class _Branch:
         if isinstance(f, Lit) and lit(f.name, not f.positive) in self.members:
             self.dead = True
             return
-        self.order.append(f)
         self.members.add(f)
         self.queue.append(f)
 
 
-def full_expansions(label: Iterable[StateFormula]) -> tuple[Expansion, ...]:
-    """All full expansions of a set of normal-form state formulas.
+def full_expansions(
+    label: Iterable[StateFormula],
+) -> tuple[frozenset[StateFormula], ...]:
+    """All full expansions of a set of normal-form state formulas, as bare
+    labels.
 
     Conjunctions contribute both conjuncts; disjunctions and gamma
     formulas branch (one disjunct / one rendered component); branches that
     acquire ``false`` or a clashing literal pair are dropped.  Expansions
-    are produced in branch order and deduplicated by label, keeping the
-    first occurrence.
+    are produced in branch order and deduplicated, keeping the first
+    occurrence.  Which component each gamma formula is linked to is a
+    function of the label alone: see :func:`gamma_links`.
     """
-    start = _Branch([], set(), deque())
+    start = _Branch(set(), deque())
     for f in sorted(set(label), key=lambda g: g.key):
         start.add(f)
-    results: list[Expansion] = []
-    seen: set[frozenset[StateFormula]] = set()
+    results: dict[frozenset[StateFormula], None] = {}
     stack: list[_Branch] = [start]
     while stack:
         branch = stack.pop()
@@ -356,25 +311,27 @@ def full_expansions(label: Iterable[StateFormula]) -> tuple[Expansion, ...]:
                 sibling.add(alt)
                 stack.append(sibling)
             branch.add(alternatives[0])
-        if branch.dead:
-            continue
-        final = frozenset(branch.members)
-        if final in seen:
-            continue
-        seen.add(final)
-        linked: dict[StateFormula, GammaComponent] = {}
-        for f in branch.order:
-            if is_gamma(f):
-                for component in gamma_components(f):
-                    if component.rendered in final:
-                        linked[f] = component
-                        break
-                else:  # pragma: no cover - saturation guarantees a component
-                    raise FormulaError(
-                        f"no component of {f!r} rendered in a full expansion"
-                    )
-        results.append(Expansion(final, linked))
+        if not branch.dead:
+            results.setdefault(frozenset(branch.members))
     return tuple(results)
+
+
+def gamma_links(label: frozenset[StateFormula]) -> dict[StateFormula, GammaComponent]:
+    """Each gamma formula of a full expansion, in key order, linked to the
+    first of its components whose rendered formula is in the label.
+
+    The tableau calls this once per new state, on the expansion's label
+    before the successor rule adds the unconditional step.
+    """
+    linked: dict[StateFormula, GammaComponent] = {}
+    for f in sorted(filter(is_gamma, label), key=lambda g: g.key):
+        for component in gamma_components(f):
+            if component.rendered in label:
+                linked[f] = component
+                break
+        else:  # pragma: no cover - saturation guarantees a component
+            raise FormulaError(f"no component of {f!r} rendered in a full expansion")
+    return linked
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,15 @@ from .decomposition import (
     GammaComponent,
     closure,
     full_expansions,
+    gamma_links,
     realized_now,
 )
 from .syntax import (
     TRUE,
     Enf,
-    Next,
     StateFormula,
     Unav,
     enf,
-    is_gamma,
     is_successor_formula,
     pnext,
     to_text,
@@ -85,27 +84,26 @@ class TState:
     The cells appear in order of their first move vector, and each lists
     its vectors in lexicographic order.  States with one step set share
     one read-only ``successors`` list, and their ``enf_steps`` and
-    ``unav_steps``.  A tableau keeps one state per label, so states
-    compare by identity.
+    ``unav_steps``.  ``linked`` maps each gamma formula of the label, in
+    key order, to its linked component; ``build_pretableau`` fills it with
+    :func:`~atlplus.decomposition.gamma_links` when it creates the state.
+    A tableau keeps one state per label, so states compare by identity.
     """
 
     index: int
     label: frozenset[StateFormula]
     linked: dict[StateFormula, GammaComponent]
-    enf_steps: list[StateFormula] = field(default_factory=list)
-    unav_steps: list[StateFormula] = field(default_factory=list)
-    successors: list[Cell] = field(default_factory=list, repr=False)
+    enf_steps: list[StateFormula]
+    unav_steps: list[StateFormula]
+    successors: list[Cell] = field(repr=False)
     alive: bool = True
 
     @property
     def name(self) -> str:
         return f"D{self.index}"
 
-    def __post_init__(self) -> None:
-        self._gammas = tuple(sorted(filter(is_gamma, self.label), key=lambda g: g.key))
-
     def gamma_formulas(self) -> tuple[StateFormula, ...]:
-        return self._gammas
+        return tuple(self.linked)
 
     def cells(self) -> list[tuple[Prestate, list[tuple[int, ...]]]]:
         """Move vectors grouped by target prestate, in first-vector order.
@@ -150,7 +148,7 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
     layouts: dict[tuple, list] = {}
     # The moves depend on the successor formulas alone: the first state
     # with a step set computes them, and later ones share its lists.
-    moves_by_steps: dict[frozenset[StateFormula], TState] = {}
+    moves_by_steps: dict[frozenset[StateFormula], tuple] = {}
 
     def get_prestate(label: frozenset[StateFormula]) -> Prestate:
         pre = prestate_by_label.get(label)
@@ -165,28 +163,23 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
     while pending:
         pre = pending.popleft()
         for expansion in full_expansions(pre.label):
-            label = expansion.label
+            label = expansion
             steps = frozenset(filter(is_successor_formula, label))
             if not steps:
                 steps = frozenset({_unconditional_step(universe)})
                 label = label | steps
             state = state_by_label.get(label)
             if state is None:
-                state = TState(
-                    index=len(tab.states) + 1,
-                    label=label,
-                    linked=dict(expansion.linked),
-                )
+                moves = moves_by_steps.get(steps)
+                if moves is None:
+                    moves = _apply_next(universe, steps, get_prestate, layouts)
+                    moves_by_steps[steps] = moves
+                # Links are read off the expansion itself: the unconditional
+                # step may render a component the expansion did not choose.
+                linked = gamma_links(expansion)
+                state = TState(len(tab.states) + 1, label, linked, *moves)
                 tab.states.append(state)
                 state_by_label[label] = state
-                first = moves_by_steps.get(steps)
-                if first is None:
-                    moves_by_steps[steps] = state
-                    _apply_next(tab, state, get_prestate, layouts)
-                else:
-                    state.enf_steps = first.enf_steps
-                    state.unav_steps = first.unav_steps
-                    state.successors = first.successors
             if state not in pre.states:
                 pre.states.append(state)
     return tab
@@ -218,33 +211,31 @@ def _next_layout(k: int, enf_positions: tuple, unav_outside: tuple) -> list:
     return [(key, tuple(sigmas)) for key, sigmas in cells.items()]
 
 
-def _apply_next(tab: Tableau, state: TState, get_prestate, layouts: dict) -> None:
-    """Group the joint agent choices into cells by the steps they commit to.
+def _apply_next(universe: tuple[int, ...], steps, get_prestate, layouts: dict) -> tuple:
+    """The ``enf_steps``, ``unav_steps`` and ``successors`` of a state whose
+    successor formulas are ``steps``: the joint agent choices grouped into
+    cells by the steps they commit to.
 
     States with equal coalition signatures share one ``_next_layout``.
     """
-    pos = {a: i for i, a in enumerate(tab.universe)}
-    state.enf_steps = sorted(
-        (g for g in state.label if isinstance(g, Enf) and isinstance(g.path, Next)),
-        key=lambda g: (g.path.state.key, g.key),
-    )
-    state.unav_steps = sorted(
-        (g for g in state.label if isinstance(g, Unav) and isinstance(g.path, Next)),
-        key=lambda g: (g.path.state.key, g.key),
-    )
-    steps = state.enf_steps + state.unav_steps
+    pos = {a: i for i, a in enumerate(universe)}
+    order = sorted(steps, key=lambda g: (g.path.state.key, g.key))
+    enf_steps = [g for g in order if isinstance(g, Enf)]
+    unav_steps = [g for g in order if isinstance(g, Unav)]
     all_positions = frozenset(pos.values())
-    enf = tuple(frozenset(pos[a] for a in g.coalition) for g in state.enf_steps)
-    unav = tuple(all_positions - {pos[a] for a in g.coalition} for g in state.unav_steps)
+    enf = tuple(frozenset(pos[a] for a in g.coalition) for g in enf_steps)
+    unav = tuple(all_positions - {pos[a] for a in g.coalition} for g in unav_steps)
     signature = (len(pos), enf, unav)
     layout = layouts.get(signature)
     if layout is None:
         layout = layouts[signature] = _next_layout(*signature)
+    ordered = enf_steps + unav_steps
+    successors = []
     for key, sigmas in layout:
-        committed = [g for b, g in enumerate(steps) if key >> b & 1]
+        committed = [g for b, g in enumerate(ordered) if key >> b & 1]
         payloads = frozenset([g.path.state for g in committed]) or frozenset({TRUE})
-        target = get_prestate(payloads)
-        state.successors.append(Cell(target, frozenset(committed), sigmas))
+        successors.append(Cell(get_prestate(payloads), frozenset(committed), sigmas))
+    return enf_steps, unav_steps, successors
 
 
 def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:

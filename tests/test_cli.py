@@ -318,6 +318,21 @@ def test_export_final_omits_eliminated_states(capsys):
     assert len(fin) < len(pre)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "@{}"), ("synth", "@{}"), ("export", "@{}"), ("verify", "{}")],
+    ids=["check", "synth", "export", "verify"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("<<1>>F p & \u00e9".encode("latin-1"))
+    command, arg = argv
+    code = run_cli(command, arg.format(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "utf-8" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -396,7 +411,8 @@ def test_verify_rejects_malformed_model_files(tmp_path, capsys):
 
 
 # Each edit spells lists as strings of the same characters ("pq" for
-# ["p", "q"], "22" for [2, 2]), which the loader used to accept.
+# ["p", "q"], "22" for [2, 2]), which the loader used to accept, or puts
+# something other than an object where one belongs.
 
 
 def _set_props(data):
@@ -417,8 +433,29 @@ def _set_state_entry(data):
     data["states"][0] = "s0"
 
 
+def _set_hintikka_list(data):
+    data["hintikka"] = ["p"]
+
+
+def _set_hintikka_string(data):
+    data["hintikka"] = "p"
+
+
+def _set_hintikka_null(data):
+    data["hintikka"] = None
+
+
 @pytest.mark.parametrize(
-    "edit", [_set_props, _set_actions, _set_profile, _set_state_entry]
+    "edit",
+    [
+        _set_props,
+        _set_actions,
+        _set_profile,
+        _set_state_entry,
+        _set_hintikka_list,
+        _set_hintikka_string,
+        _set_hintikka_null,
+    ],
 )
 def test_verify_rejects_strings_where_lists_or_objects_belong(
     model_file, tmp_path, capsys, edit

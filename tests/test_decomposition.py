@@ -4,31 +4,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from atlplus import decomposition
 from atlplus.decomposition import (
     ClosureLimitError,
+    _canon_state,
+    _flatten,
     closure,
     dec,
     full_expansions,
     gamma_components,
+    gamma_links,
     holds_locally,
     realized_now,
 )
 from atlplus.randgen import GenConfig, random_corpus
+from atlplus.tableau import build_pretableau
 from atlplus.syntax import (
     FALSE,
+    ST_FALSE,
     ST_TRUE,
     TRUE,
     And,
     FormulaClass,
     Or,
+    PAnd,
+    POr,
+    St,
     classify,
     conj,
+    disj,
     default_universe,
     formula_size,
     is_gamma,
     is_successor_formula,
     lit,
+    pand,
     parse,
+    por,
+    st,
     successor_payload,
     to_nnf,
     to_text,
@@ -283,12 +296,12 @@ def test_closure_limit_error():
 def test_full_expansions_simple_alpha():
     exps = full_expansions([parse("p & q")])
     assert len(exps) == 1
-    assert {P, Q, parse("p & q")} <= exps[0].label
+    assert isinstance(exps[0], frozenset)
+    assert {P, Q, parse("p & q")} <= exps[0]
 
 
 def test_full_expansions_beta_branches():
-    exps = full_expansions([parse("p | q")])
-    labels = [e.label for e in exps]
+    labels = full_expansions([parse("p | q")])
     assert any(P in l and Q not in l for l in labels)
     assert any(Q in l and P not in l for l in labels)
 
@@ -298,7 +311,7 @@ def test_full_expansions_drop_clashes():
     assert exps == ()
     exps2 = full_expansions([P, parse("~p | q")])
     assert len(exps2) == 1
-    assert Q in exps2[0].label
+    assert Q in exps2[0]
 
 
 def test_full_expansions_gamma_linking():
@@ -306,9 +319,12 @@ def test_full_expansions_gamma_linking():
     exps = full_expansions([g])
     assert len(exps) >= 2
     for e in exps:
-        assert g in e.label
-        linked = e.linked[g]
-        assert linked.rendered in e.label
+        assert g in e
+        assert gamma_links(e)[g].rendered in e
+    states = [s for s in build_pretableau(g, (1,)).states if g in s.label]
+    assert len(states) >= 2
+    for s in states:
+        assert s.linked[g].rendered in s.label
 
 
 def test_full_expansions_keep_non_minimal_labels():
@@ -317,8 +333,7 @@ def test_full_expansions_keep_non_minimal_labels():
     # top of the deferral.
     g = nnf("<<1>>(p U q)", (1,))
     deferring = gamma_components(g)[0].rendered
-    exps = full_expansions([g, deferring])
-    labels = [e.label for e in exps]
+    labels = full_expansions([g, deferring])
     assert len(labels) == 2
     small, large = sorted(labels, key=len)
     assert small < large
@@ -332,8 +347,7 @@ def test_full_expansions_are_saturated(seed):
     (raw,) = random_corpus(seed, 1, GenConfig(max_size=8))
     universe = default_universe(raw)
     f = to_nnf(raw, universe)
-    for e in full_expansions([f]):
-        label = e.label
+    for label in full_expansions([f]):
         assert FALSE not in label
         for g in label:
             kind = classify(g)
@@ -349,3 +363,101 @@ def test_full_expansions_are_saturated(seed):
             if isinstance(g, Lit):
                 neg = lit(g.name, positive=not g.positive)
                 assert neg not in label
+
+
+# ---------------------------------------------------------------------------
+# Canonicalization against the recursive reference
+
+
+def _reference_canon_state(parts, node_cls, unit, absorber, mk):
+    """The recursive canonicalizer the flatten-and-fold one replaced."""
+    flat = {}
+
+    def add(g):
+        if isinstance(g, node_cls):
+            add(g.lhs)
+            add(g.rhs)
+        elif g is not unit:
+            flat[g] = None
+
+    for part in parts:
+        add(part)
+    if absorber in flat:
+        return absorber
+    out = unit
+    for g in sorted(flat, key=lambda x: x.key):
+        out = mk(out, g)
+    return out
+
+
+def _reference_canon_path(parts, node_cls, unit, absorber, mk, state_ops):
+    def flatten(p):
+        if isinstance(p, node_cls):
+            yield from flatten(p.lhs)
+            yield from flatten(p.rhs)
+        else:
+            yield p
+
+    temporal = {}
+    state_atoms = []
+    for part in parts:
+        for atom in flatten(part):
+            if isinstance(atom, St):
+                state_atoms.append(atom.state)
+            else:
+                temporal[atom] = None
+    state_part = _reference_canon_state(state_atoms, *state_ops)
+    if state_part is absorber.state:
+        return absorber
+    out = unit if state_part is unit.state else st(state_part)
+    for p in sorted(temporal, key=lambda x: x.key):
+        out = mk(out, p)
+    return out
+
+
+def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
+    canon_state = decomposition._canon_state
+    canon_path = decomposition._canon_path
+    calls = {And: 0, PAnd: 0, POr: 0}
+
+    def checked_state(parts):
+        parts = list(parts)
+        got = canon_state(parts)
+        assert got is _reference_canon_state(parts, And, TRUE, FALSE, conj)
+        calls[And] += 1
+        return got
+
+    def checked_path(parts, node_cls):
+        parts = list(parts)
+        if node_cls is PAnd:
+            ref = (PAnd, ST_TRUE, ST_FALSE, pand, (And, TRUE, FALSE, conj))
+        else:
+            ref = (POr, ST_FALSE, ST_TRUE, por, (Or, FALSE, TRUE, disj))
+        got = canon_path(parts, node_cls)
+        assert got is _reference_canon_path(parts, *ref)
+        calls[node_cls] += 1
+        return got
+
+    monkeypatch.setattr(decomposition, "_canon_state", checked_state)
+    monkeypatch.setattr(decomposition, "_canon_path", checked_path)
+    monkeypatch.setattr(decomposition, "_DEC_CACHE", {})
+    monkeypatch.setattr(decomposition, "_GAMMA_CACHE", {})
+    agents4_sat = (
+        "[[1]]F ~q & <<1>>(F p1 | G q) & <<4>>(F p4 | G q)"
+        " & <<2>>(F p2 | G q) & <<3>>(F p3 | G q)"
+    )
+    formulas = [parse("<<1>>(p U q | G q) & [[2]](F p & G ~q)"), parse(agents4_sat)]
+    formulas += random_corpus(7, 300, GenConfig(props=("p", "q")))
+    for raw in formulas:
+        closure(to_nnf(raw, default_universe(raw)))
+    # Now-parts and both kinds of path remainders are canonicalized.
+    assert min(calls.values()) > 0, calls
+
+
+def test_canonicalization_flattens_a_deep_chain():
+    literals = [lit(f"p{i}") for i in range(1500)]
+    chain = literals[0]
+    for g in literals[1:]:
+        chain = conj(chain, g)
+    canon = _canon_state([chain])
+    assert _flatten([canon], And, TRUE) == set(literals)

@@ -1,7 +1,10 @@
 """Pretableau construction, elimination, and satisfiability verdicts."""
 
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +403,64 @@ def test_elimination_matches_the_per_pair_reference():
 
 
 # ---------------------------------------------------------------------------
+# Every tableau, pinned
+
+TABLEAU_GOLDEN = Path(__file__).parent / "golden" / "tableau_sha256.json"
+
+
+def _tableau_digest(raw):
+    """sha256 over everything ``decide`` leaves in the tableau.
+
+    Prestates with their states; each state's label, alive flag, links
+    (gamma formula -> rendered component, by key), steps and cells (target,
+    steps, vectors); the ranks, the elimination trace and the verdict.
+    """
+    universe = default_universe(raw)
+    d = decide(to_nnf(raw, universe), universe)
+    tab = d.tableau
+
+    def keys(formulas):
+        return sorted(g.key for g in formulas)
+
+    h = hashlib.sha256()
+    for pre in tab.prestates:
+        h.update(repr((pre.index, keys(pre.label), [s.index for s in pre.states])).encode())
+    cells_text = {}
+    for s in tab.states:
+        shared = id(s.successors)
+        if shared not in cells_text:
+            cells_text[shared] = repr(
+                [(c.target.index, keys(c.steps), c.sigmas) for c in s.successors]
+            )
+        links = sorted((g.key, c.rendered.key) for g, c in s.linked.items())
+        steps = ([g.key for g in s.enf_steps], [g.key for g in s.unav_steps])
+        h.update(repr((s.index, keys(s.label), s.alive, links, steps)).encode())
+        h.update(cells_text[shared].encode())
+    ranks = sorted((i, g.key, r) for (i, g), r in tab.realization.items())
+    h.update(repr((ranks, tab.elimination_trace, d.sat)).encode())
+    return h.hexdigest()
+
+
+def _golden_tableau_inputs():
+    """OPEN, CLOSED, the 4-agent family formulas and two seeded corpora."""
+    formulas = [parse(t) for t in (OPEN, CLOSED, AGENTS4_SAT, AGENTS4_UNSAT)]
+    formulas += random_corpus(7, 300, GenConfig(props=("p", "q")))
+    formulas += random_corpus(5, 100, GenConfig(bool_depth=2, max_size=16))
+    return formulas
+
+
+def tableau_digests():
+    """Input text -> tableau digest; ``tableau_sha256.json`` holds its output."""
+    return {to_text(raw): _tableau_digest(raw) for raw in _golden_tableau_inputs()}
+
+
+def test_every_tableau_matches_golden_digests():
+    golden = json.loads(TABLEAU_GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 382
+    assert tableau_digests() == golden
+
+
+# ---------------------------------------------------------------------------
 # Structural rules
 
 
@@ -408,6 +469,23 @@ def test_trivial_step_added_when_no_successor_formula():
     s = d.tableau.states[0]
     steps = [g for g in s.label if is_successor_formula(g)]
     assert [to_text(g) for g in steps] == ["<<1>>X true"]
+
+
+def test_links_are_read_off_the_expansion_before_the_unconditional_step():
+    # D4's expansion renders the until's q-component.  The unconditional
+    # step added after it renders <<1>>X true, an earlier component, which
+    # must not take over the link.
+    d = run("<<1>>(G p | (<<1>>X true) | p U q)")
+    d4 = d.tableau.states[3]
+    assert sorted(to_text(g) for g in d4.label) == [
+        "<<1>>(G p | <<1>>X true | p U q)",
+        "<<1>>X true",
+        "q",
+    ]
+    assert {to_text(g): to_text(c.rendered) for g, c in d4.linked.items()} == {
+        "<<1>>(G p | <<1>>X true | p U q)": "q"
+    }
+    assert d4.gamma_formulas() == tuple(d4.linked)
 
 
 def test_states_deduplicate_by_label_across_prestates():
