@@ -53,6 +53,9 @@ class CGM:
             raise ModelFormatError("a model needs at least one state")
         if len(set(self.ids)) != len(self.ids):
             raise ModelFormatError("duplicate state ids")
+        if len(set(map(str, self.ids))) != len(self.ids):
+            # JSON keys "actions" and "hintikka" by the id's text
+            raise ModelFormatError("state ids must differ as text")
         if not 0 <= self.initial < self.n_states:
             raise ModelFormatError("initial state out of range")
         if len(self.props) != self.n_states or len(self.action_counts) != self.n_states:

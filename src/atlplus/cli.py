@@ -3,9 +3,10 @@
 Exit codes follow one convention across subcommands so shell scripts can
 branch on them: 0 = positive outcome (SAT / all checks pass), 1 = negative
 outcome (UNSAT / a check fails), 2 = usage or input error (bad formula,
-unreadable file, closure budget exceeded), 3 = internal error (any
-unexpected exception, or a synthesized model that failed its own
-certification and was never emitted).
+unreadable file, malformed model or annotations, closure budget exceeded),
+3 = internal error (any unexpected exception, including a broken synthesis
+invariant, or a synthesized model that failed its own certification and was
+never emitted).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .syntax import (
     to_nnf,
     to_text,
 )
-from .synthesis import SynthesisError, assemble, extract_cgm, validate_hintikka
+from .synthesis import assemble, extract_cgm, validate_hintikka
 from .tableau import Decision, decide, tableau_dot
 
 EXIT_OK = 0
@@ -428,7 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         FormulaError,
         ModelFormatError,
         CheckError,
-        SynthesisError,
         OSError,
         UnicodeDecodeError,
     ) as exc:

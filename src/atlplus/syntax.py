@@ -15,8 +15,12 @@ enforceability.  Everything downstream operates on the normal-form core.
 Formulas are hash-consed: building the same shape twice returns the same
 object, so equality is identity and formula sets are cheap.  Each formula
 carries a canonical ``key`` string that serves as a stable total order.
-The intern table is the only shared mutable state (guarded by the GIL);
-all operations are otherwise pure functions of their inputs.
+The two intern tables (state and path formulas) are this module's only
+shared mutable state (guarded by the GIL); all operations are otherwise
+pure functions of their inputs.  Other modules keep process-wide caches
+of their own: ``decomposition._DEC_CACHE`` and ``_GAMMA_CACHE``, keyed by
+interned formulas, and ``enumeration._CACHE`` and ``_CHECKERS``, keyed by
+the enumeration bounds.
 """
 
 from __future__ import annotations
@@ -578,6 +582,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<comma>,)"
     r"|(?P<nat>\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 _KEYWORDS = {"true", "false", "U", "R", "X", "G", "F"}
@@ -590,44 +596,45 @@ MAX_NESTING_DEPTH = 100
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "pos")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
+    def __init__(self, kind: str, text: str, pos: int):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.pos = pos
+
+
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """A ``ParseError`` at offset ``pos`` of ``text``, as line and column."""
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
         tok = m.group()
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {tok!r}")
         if kind == "ident" and tok in _KEYWORDS:
             kind = tok
-        if kind != "ws":
-            tokens.append(_Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        tokens.append(_Token(kind, tok, m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return _error_at(self.text, tok.pos, message)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -640,18 +647,14 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col)
+            raise self.error(f"expected {what}", tok)
         return self.take()
-
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
 
     def descend(self, tok: _Token) -> None:
         """Open the nesting level of the operand that ``tok`` starts."""
         if self.depth == MAX_NESTING_DEPTH:
-            raise ParseError(
-                f"formula nested deeper than {MAX_NESTING_DEPTH} levels", tok.line, tok.col
+            raise self.error(
+                f"formula nested deeper than {MAX_NESTING_DEPTH} levels", tok
             )
         self.depth += 1
 
@@ -665,9 +668,7 @@ class _Parser:
             rhs = self.parse_implication()
             self.depth -= 1
             if not isinstance(lhs, St) or not isinstance(rhs, St):
-                raise ParseError(
-                    "'->' connects state formulas, not path formulas", tok.line, tok.col
-                )
+                raise self.error("'->' connects state formulas, not path formulas", tok)
             return st(implies(lhs.state, rhs.state))
         return lhs
 
@@ -692,11 +693,10 @@ class _Parser:
             tok = self.take()
             rhs = self.parse_unary()
             if not isinstance(node, St) or not isinstance(rhs, St):
-                raise ParseError(
+                raise self.error(
                     f"temporal operator '{tok.text}' needs state-formula operands"
                     " -- nested temporal operators are not in the logic",
-                    tok.line,
-                    tok.col,
+                    tok,
                 )
             mk = until if kind == "U" else release
             return mk(node.state, rhs.state)
@@ -710,9 +710,7 @@ class _Parser:
             sub = self.parse_unary()
             self.depth -= 1
             if not isinstance(sub, St):
-                raise ParseError(
-                    "'~' negates state formulas, not path formulas", tok.line, tok.col
-                )
+                raise self.error("'~' negates state formulas, not path formulas", tok)
             return st(lnot(sub.state))
         if tok.kind in ("X", "G", "F"):
             self.take()
@@ -720,11 +718,10 @@ class _Parser:
             sub = self.parse_unary()
             self.depth -= 1
             if not isinstance(sub, St):
-                raise ParseError(
+                raise self.error(
                     f"temporal operator '{tok.text}' applies to a state formula"
                     " -- nested temporal operators are not in the logic",
-                    tok.line,
-                    tok.col,
+                    tok,
                 )
             mk = {"X": pnext, "G": always, "F": sometime}[tok.kind]
             return mk(sub.state)
@@ -754,8 +751,9 @@ class _Parser:
         if tok.kind == "ident":
             self.take()
             return st(lit(tok.text))
-        self.fail("expected a formula" if tok.kind == "eof" else f"unexpected {tok.text!r}")
-        raise AssertionError  # unreachable
+        raise self.error(
+            "expected a formula" if tok.kind == "eof" else f"unexpected {tok.text!r}", tok
+        )
 
     def _parse_agents(self) -> tuple[int, ...]:
         agents: list[int] = []
@@ -769,20 +767,19 @@ class _Parser:
 
 def parse(text: str) -> StateFormula:
     """Parse a state formula from its ASCII surface syntax."""
-    tokens = _tokenize(text)
-    if tokens[0].kind == "eof":
+    parser = _Parser(text)
+    first = parser.peek()
+    if first.kind == "eof":
         raise ParseError("empty input", 1, 1)
-    parser = _Parser(tokens)
     node = parser.parse_implication()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        raise parser.error(f"unexpected trailing {tok.text!r}", tok)
     if not isinstance(node, St):
-        raise ParseError(
+        raise parser.error(
             "input must be a state formula -- a bare path formula like this one"
             " is only meaningful under a strategic quantifier",
-            tokens[0].line,
-            tokens[0].col,
+            first,
         )
     return node.state
 

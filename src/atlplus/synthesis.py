@@ -17,9 +17,10 @@ the tableau that produced it.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cgm import CGM
+from .cgm import CGM, ModelFormatError
 from .decomposition import gamma_components, realized_now
 from .syntax import (
     FALSE,
@@ -30,7 +31,6 @@ from .syntax import (
     Lit,
     Or,
     StateFormula,
-    Unav,
     classify,
     is_gamma,
     is_successor_formula,
@@ -361,15 +361,24 @@ def extract_cgm(structure: HintikkaStructure) -> CGM:
 def hintikka_labels(
     model: CGM, universe: tuple[int, ...]
 ) -> list[frozenset[StateFormula]]:
-    """Parse the model's label annotations back into formula sets."""
-    if model.hintikka is None:
+    """Parse the model's label annotations back into formula sets.
+
+    The annotation keys must be exactly the string forms of the state ids;
+    a missing or an unknown key is a ``ModelFormatError``.
+    """
+    notes = model.hintikka
+    if notes is None:
         raise SynthesisError("model carries no saturated-label annotations")
+    known = set(map(str, model.ids))
+    for key in notes:
+        if key not in known:
+            raise ModelFormatError(f"annotation for unknown state {key!r}")
     parsed: dict[str, StateFormula] = {}
     labels = []
     for sid in model.ids:
-        texts = model.hintikka.get(str(sid))
+        texts = notes.get(str(sid))
         if texts is None:
-            raise SynthesisError(f"state {sid} has no label annotation")
+            raise ModelFormatError(f"state {sid!r} has no label annotation")
         for t in texts:
             if t not in parsed:
                 parsed[t] = to_nnf(parse(t), universe)
@@ -398,7 +407,10 @@ def validate_hintikka(
     """Check the saturation conditions H1..H6 on an annotated model.
 
     Returns a list of human-readable violations ("H1 violated at state ...");
-    an empty list means the annotations form a coherent structure.  Each
+    an empty list means the annotations form a coherent structure.  H5 and
+    H6 share one test, ``forces``: the coalition of ``<<A>>X`` can force, and
+    that of ``[[A]]X`` cannot avoid, a good successor -- one whose label holds
+    the payload (H5), or where the remainder is already realized (H6).  Each
     distinct formula is negated once and each (action box, coalition) grid
     of choices is built once per call; nothing is kept between calls.
     """
@@ -412,32 +424,31 @@ def validate_hintikka(
     ordered = [sorted(label) for label in labels]
     position = {agent: i for i, agent in enumerate(universe)}
     n = model.n_states
-    transitions = model.transitions
     violations: list[str] = []
     negations: dict[StateFormula, StateFormula] = {}
-    grids: dict[
-        tuple[tuple[int, ...], tuple[int, ...]], list[list[tuple[int, ...]]]
-    ] = {}
+    # (action box, coalition) -> its grid of choices
+    grids: dict[tuple, list[list[tuple[int, ...]]]] = {}
+    # state -> its successors keyed by action profile
+    moves: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+    for (s, sigma), target in model.transitions.items():
+        moves[s][sigma] = target
 
-    def choices(state: int, coalition: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-        key = (model.action_counts[state], coalition)
+    def forces(state: int, step: StateFormula, good: set[int]) -> bool:
+        key = (model.action_counts[state], step.coalition)
         grid = grids.get(key)
         if grid is None:
-            positions = tuple(position[a] for a in coalition)
+            positions = tuple(position[a] for a in step.coalition)
             grid = grids[key] = _choice_grid(key[0], positions)
-        return grid
+        successor = moves[state].__getitem__
+        if isinstance(step, Enf):
+            return any(good.issuperset(map(successor, row)) for row in grid)
+        return not any(good.isdisjoint(map(successor, row)) for row in grid)
 
-    def enf_witness(state: int, coalition, payload) -> bool:
-        return any(
-            all(payload in labels[transitions[(state, sigma)]] for sigma in completions)
-            for completions in choices(state, coalition)
-        )
-
-    def unav_witness(state: int, coalition, payload) -> bool:
-        return all(
-            any(payload in labels[transitions[(state, sigma)]] for sigma in completions)
-            for completions in choices(state, coalition)
-        )
+    # formula -> the states whose label holds it
+    holders: defaultdict[StateFormula, set[int]] = defaultdict(set)
+    for s, label in enumerate(labels):
+        for f in label:
+            holders[f].add(s)
 
     for s in range(n):
         sid = model.ids[s]
@@ -481,61 +492,42 @@ def validate_hintikka(
         for f in ordered[s]:
             if not is_successor_formula(f):
                 continue
-            payload = successor_payload(f)
-            if isinstance(f, Enf):
-                if not enf_witness(s, f.coalition, payload):
-                    violations.append(
-                        f"H5 violated at state {sid}: no action witness for"
-                        f" {to_text(f)}"
-                    )
-            else:
-                assert isinstance(f, Unav)
-                if not unav_witness(s, f.coalition, payload):
-                    violations.append(
-                        f"H5 violated at state {sid}: no co-action response"
-                        f" for {to_text(f)}"
-                    )
+            if not forces(s, f, holders[successor_payload(f)]):
+                witness = (
+                    "action witness" if isinstance(f, Enf) else "co-action response"
+                )
+                violations.append(
+                    f"H5 violated at state {sid}: no {witness} for {to_text(f)}"
+                )
 
     pairs = [(s, f) for s in range(n) for f in ordered[s] if is_gamma(f)]
-    realized: set[tuple[int, StateFormula]] = {
-        (s, f) for s, f in pairs if realized_now(f.path, labels[s])
+    # eventuality -> the states where it is realized
+    realized: defaultdict[StateFormula, set[int]] = defaultdict(set)
+    for s, f in pairs:
+        if realized_now(f.path, labels[s]):
+            realized[f].add(s)
+    # unrealized (state, eventuality) -> (step, next_ev) of each component
+    # in the state's label, in gamma_components order
+    candidates = {
+        (s, f): [
+            (c.step, c.next_ev)
+            for c in gamma_components(f)
+            if c.step is not None and c.rendered in labels[s]
+        ]
+        for s, f in pairs
+        if s not in realized[f]
     }
     changed = True
     while changed:
         changed = False
-        for s, f in pairs:
-            if (s, f) in realized:
-                continue
-            for component in gamma_components(f):
-                if component.step is None:
-                    continue
-                if component.rendered not in labels[s]:
-                    continue
-                step = component.step
-                ev1 = component.next_ev
-                grid = choices(s, step.coalition)
-                if isinstance(step, Enf):
-                    ok = any(
-                        all(
-                            (transitions[(s, sigma)], ev1) in realized
-                            for sigma in completions
-                        )
-                        for completions in grid
-                    )
-                else:
-                    ok = all(
-                        any(
-                            (transitions[(s, sigma)], ev1) in realized
-                            for sigma in completions
-                        )
-                        for completions in grid
-                    )
-                if ok:
-                    realized.add((s, f))
-                    changed = True
-                    break
+        for (s, f), found in candidates.items():
+            if s not in realized[f] and any(
+                forces(s, step, realized[next_ev]) for step, next_ev in found
+            ):
+                realized[f].add(s)
+                changed = True
     for s, f in pairs:
-        if (s, f) not in realized:
+        if s not in realized[f]:
             violations.append(
                 f"H6 violated at state {model.ids[s]}: {to_text(f)} is never"
                 " realized"

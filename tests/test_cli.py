@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from atlplus import cli
+from atlplus import cli, synthesis
 from atlplus.cgm import CGM
 from atlplus.cli import main, prepare
 from atlplus.randgen import GenConfig, random_corpus
@@ -76,6 +76,20 @@ def test_check_reports_a_crash_as_internal_error_not_unsat(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["assemble", "move_cells"])
+def test_synth_reports_a_synthesis_fault_as_internal_error(capsys, monkeypatch, where):
+    # A broken synthesis invariant is the program's fault, not the input's.
+    def fault(*args):
+        raise synthesis.SynthesisError("node 1 does not cover the action box of D1")
+
+    monkeypatch.setattr(cli if where == "assemble" else synthesis, where, fault)
+    code = run_cli("synth", SAT_INPUT)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("internal error: SynthesisError: node 1 ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -469,6 +483,52 @@ def test_verify_rejects_strings_where_lists_or_objects_belong(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+# Each edit breaks the link between annotations and states: the keys of
+# "hintikka" must be exactly the state ids as text, and ids must differ as
+# text, since "actions" and "hintikka" are keyed by it.
+
+
+def _drop_annotation(data):
+    del data["hintikka"]["3"]
+
+
+def _orphan_annotation(data):
+    data["hintikka"]["7"] = ["p"]
+
+
+def _ids_same_as_text(data):
+    # State 5 becomes "3", beside state 3.  Both have the box [1, 1] and the
+    # same label, so the shared "actions" and "hintikka" entries fit both.
+    data["states"][5]["id"] = "3"
+    for entry in data["transitions"]:
+        for end in ("from", "to"):
+            if entry[end] == 5:
+                entry[end] = "3"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_annotation, "state 3 has no label annotation"),
+        (_orphan_annotation, "annotation for unknown state '7'"),
+        (_ids_same_as_text, "state ids must differ as text"),
+    ],
+    ids=["missing-key", "orphan-key", "ids-same-as-text"],
+)
+def test_verify_refuses_annotations_that_do_not_name_the_states(
+    model_file, tmp_path, capsys, edit, message
+):
+    data = json.loads(model_file.read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("verify", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 # Each edit breaks the action box: every state must list exactly one

@@ -518,6 +518,64 @@ def test_h5_violation_on_unwitnessed_successor_formula():
     )
 
 
+def test_h5_violation_on_avoidable_successor_formula():
+    # At state 0 agent 1 picks the successor: its action 0 leads to q (state
+    # 1), its action 1 to state 2.  So agent 1 can avoid q, and [[1]]X q
+    # fails; agent 2 cannot, since agent 1 may answer any of its actions
+    # with 0, and [[2]]X q holds.
+    m = _mutated(lambda d: d["hintikka"]["0"].extend(["[[1]]X q", "[[2]]X q"]))
+    assert validate_hintikka(m, UNIVERSE) == [
+        "H5 violated at state 0: no co-action response for [[1]]X q",
+    ]
+
+
+def _until_behind_unav(reach_q):
+    """s0 defers [[1]](p U q) through a [[1]] step; s1 realizes it.
+
+    From s0 the profile (a1, a2) leads to s1 when ``reach_q(a1, a2)``, and
+    back to s0 otherwise.  The eventuality is realized at s0 exactly when
+    every action of agent 1 has a response of agent 2 that reaches s1.
+    """
+    return CGM(
+        agents=2,
+        ids=["s0", "s1"],
+        props=[frozenset({"p"}), frozenset({"q"})],
+        action_counts=[(2, 2), (1, 1)],
+        transitions={
+            **{
+                (0, (a1, a2)): 1 if reach_q(a1, a2) else 0
+                for a1 in (0, 1)
+                for a2 in (0, 1)
+            },
+            (1, (0, 0)): 1,
+        },
+        initial=0,
+        hintikka={
+            "s0": [
+                "p",
+                "[[1]]p U q",
+                "[[1]]X [[1]]p U q & p",
+                "[[1]]X [[1]]p U q",
+            ],
+            "s1": ["q", "[[1]]p U q"],
+        },
+    )
+
+
+def test_h6_realized_through_a_cannot_avoid_step():
+    # Agent 2 reaches q by matching agent 1's action.
+    m = _until_behind_unav(lambda a1, a2: a1 == a2)
+    assert validate_hintikka(m, UNIVERSE) == []
+
+
+def test_h6_violation_when_the_cannot_avoid_step_is_avoidable():
+    # Only (0, 0) reaches q, so agent 1 avoids it by playing 1 forever.
+    m = _until_behind_unav(lambda a1, a2: (a1, a2) == (0, 0))
+    assert validate_hintikka(m, UNIVERSE) == [
+        "H6 violated at state s0: [[1]]p U q is never realized",
+    ]
+
+
 def test_validator_memos_keep_states_apart():
     # States 2 and 5 have the same action box, so they share one grid of
     # choices.  <<1>>X p holds at 2 (its successor carries p) and fails at 5.
