@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -65,42 +66,35 @@ class CGM:
                 raise ModelFormatError(
                     f"state {self.ids[s]!r} must give every agent at least one action"
                 )
-        if sum(map(math.prod, self.action_counts)) > len(self.transitions):
-            # The boxes promise more profiles than the file lists: find the
-            # first missing ones lazily, never every promised profile.
+        # Listed profiles are distinct dict keys: when each lies in its
+        # state's box and they are as many as the boxes hold, they cover the
+        # boxes exactly.  Otherwise find the first missing ones lazily, never
+        # every promised profile.
+        boxes, n = self.action_counts, self.n_states
+        extra = [
+            (s, profile)
+            for s, profile in self.transitions
+            if not (
+                0 <= s < n
+                and len(profile) == len(boxes[s])
+                and min(profile) >= 0
+                and all(map(operator.lt, profile, boxes[s]))
+            )
+        ]
+        if extra or len(self.transitions) != sum(map(math.prod, boxes)):
             missing = itertools.islice(
                 (
                     (s, profile)
-                    for s, counts in enumerate(self.action_counts)
+                    for s, counts in enumerate(boxes)
                     for profile in itertools.product(*map(range, counts))
                     if (s, profile) not in self.transitions
                 ),
                 3,
             )
-            extra = [key for key in self.transitions if not self._in_box(*key)]
             raise _cover_error(missing, extra)
-        expected = set()
-        # action box -> its profiles, shared by the states with that box
-        boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for s, counts in enumerate(self.action_counts):
-            if counts not in boxes:
-                boxes[counts] = self.profiles(s)
-            expected.update([(s, profile) for profile in boxes[counts]])
-        given = set(self.transitions)
-        if given != expected:
-            raise _cover_error(expected - given, given - expected)
-        for (_, _), target in self.transitions.items():
-            if not 0 <= target < self.n_states:
-                raise ModelFormatError("transition target out of range")
-
-    def _in_box(self, s: int, profile: tuple[int, ...]) -> bool:
-        """Whether ``profile`` is a joint profile of state ``s``'s box."""
-        if not 0 <= s < self.n_states:
-            return False
-        counts = self.action_counts[s]
-        return len(profile) == len(counts) and all(
-            0 <= a < c for a, c in zip(profile, counts)
-        )
+        targets = self.transitions.values()
+        if min(targets) < 0 or max(targets) >= n:
+            raise ModelFormatError("transition target out of range")
 
     # ------------------------------------------------------------------
     # JSON interchange

@@ -41,7 +41,6 @@ from .syntax import (
     POr,
     St,
     StateFormula,
-    Unav,
     Until,
     classify,
     conj,
@@ -53,7 +52,6 @@ from .syntax import (
     pnext,
     por,
     st,
-    successor_payload,
     unav,
 )
 
@@ -373,5 +371,5 @@ def closure(
             for component in gamma_components(g):
                 add(component.rendered)
         elif is_successor_formula(g):
-            add(successor_payload(g))
+            add(g.path.state)
     return tuple(seen)

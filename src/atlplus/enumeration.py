@@ -36,12 +36,6 @@ from .cgm import CGM
 from .checker import ModelChecker
 from .syntax import StateFormula
 
-__all__ = [
-    "enumerate_cgms",
-    "find_bounded_model",
-    "sample_cgm",
-]
-
 _CACHE: dict[tuple, list[CGM]] = {}
 # (cache key, sorted universe) -> union checker and class offsets
 _CHECKERS: dict[tuple, tuple[ModelChecker, list[int]]] = {}

@@ -29,8 +29,6 @@ from .syntax import (
     until,
 )
 
-__all__ = ["GenConfig", "random_formula", "random_corpus"]
-
 
 @dataclass(frozen=True)
 class GenConfig:

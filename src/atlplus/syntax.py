@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class FormulaError(Exception):
@@ -483,12 +483,6 @@ def is_successor_formula(f: StateFormula) -> bool:
     return isinstance(f, (Enf, Unav)) and isinstance(f.path, Next)
 
 
-def successor_payload(f: StateFormula) -> StateFormula:
-    if not is_successor_formula(f):
-        raise FormulaError(f"not a successor formula: {f!r}")
-    return f.path.state
-
-
 def is_gamma(f: StateFormula) -> bool:
     return isinstance(f, (Enf, Unav)) and not isinstance(f.path, Next)
 
@@ -589,9 +583,10 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"true", "false", "U", "R", "X", "G", "F"}
 
 # Deepest nesting of '~', 'X'/'G'/'F', quantifier operands, parentheses and
-# right-nested '->' the parser accepts.  Every later stage walks formulas
-# recursively, so deeper input is refused up front instead of overflowing
-# the interpreter stack.
+# right-nested '->' the parser accepts.  Later stages walk formulas
+# recursively, so deeper input is refused up front.  Flat '&'/'|' chains
+# are built iteratively and not counted: a long one still overflows the
+# interpreter stack in those walks.
 MAX_NESTING_DEPTH = 100
 
 

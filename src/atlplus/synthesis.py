@@ -37,23 +37,10 @@ from .syntax import (
     mentioned_props,
     negate,
     parse,
-    successor_payload,
     to_nnf,
     to_text,
 )
 from .tableau import Tableau, TState, _unconditional_step
-
-__all__ = [
-    "SynthesisError",
-    "MoveCell",
-    "HNode",
-    "HintikkaStructure",
-    "move_cells",
-    "assemble",
-    "extract_cgm",
-    "hintikka_labels",
-    "validate_hintikka",
-]
 
 
 class SynthesisError(Exception):
@@ -140,7 +127,7 @@ def eventuality_rows(tab: Tableau) -> list[StateFormula]:
     """Eventualities of the surviving states, in order of first appearance."""
     return list(
         dict.fromkeys(
-            ev for state in tab.alive_states() for ev in state.gamma_formulas()
+            ev for state in tab.alive_states() for ev in state.linked
         )
     )
 
@@ -413,6 +400,8 @@ def validate_hintikka(
     the payload (H5), or where the remainder is already realized (H6).  Each
     distinct formula is negated once and each (action box, coalition) grid
     of choices is built once per call; nothing is kept between calls.
+    Agents take action positions in sorted order, as in the oracle: the
+    smallest agent of ``universe`` plays position 0.
     """
     if universe is None:
         universe = tuple(range(1, model.agents + 1))
@@ -422,7 +411,7 @@ def validate_hintikka(
         )
     labels = hintikka_labels(model, universe)
     ordered = [sorted(label) for label in labels]
-    position = {agent: i for i, agent in enumerate(universe)}
+    position = {agent: i for i, agent in enumerate(sorted(universe))}
     n = model.n_states
     violations: list[str] = []
     negations: dict[StateFormula, StateFormula] = {}
@@ -492,7 +481,7 @@ def validate_hintikka(
         for f in ordered[s]:
             if not is_successor_formula(f):
                 continue
-            if not forces(s, f, holders[successor_payload(f)]):
+            if not forces(s, f, holders[f.path.state]):
                 witness = (
                     "action witness" if isinstance(f, Enf) else "co-action response"
                 )

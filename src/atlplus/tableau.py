@@ -102,9 +102,6 @@ class TState:
     def name(self) -> str:
         return f"D{self.index}"
 
-    def gamma_formulas(self) -> tuple[StateFormula, ...]:
-        return tuple(self.linked)
-
     def cells(self) -> list[tuple[Prestate, list[tuple[int, ...]]]]:
         """Move vectors grouped by target prestate, in first-vector order.
 
@@ -217,8 +214,10 @@ def _apply_next(universe: tuple[int, ...], steps, get_prestate, layouts: dict) -
     cells by the steps they commit to.
 
     States with equal coalition signatures share one ``_next_layout``.
+    Agents take action positions in sorted order, as in the oracle: the
+    smallest agent of the universe plays position 0.
     """
-    pos = {a: i for i, a in enumerate(universe)}
+    pos = {a: i for i, a in enumerate(sorted(universe))}
     order = sorted(steps, key=lambda g: (g.path.state.key, g.key))
     enf_steps = [g for g in order if isinstance(g, Enf)]
     unav_steps = [g for g in order if isinstance(g, Unav)]
@@ -248,7 +247,7 @@ def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
     """
     alive = tab.alive_states()
     pairs: list[tuple[TState, StateFormula]] = [
-        (s, g) for s in alive for g in s.gamma_formulas()
+        (s, g) for s in alive for g in s.linked
     ]
     rank: dict[tuple[int, StateFormula], int] = {}
     for s, g in pairs:
@@ -304,7 +303,7 @@ def eliminate_states(tab: Tableau) -> list[dict[str, list[int]]]:
         removed_unrealized = [
             s
             for s in tab.alive_states()
-            if any((s.index, g) not in rank for g in s.gamma_formulas())
+            if any((s.index, g) not in rank for g in s.linked)
         ]
         for s in removed_unrealized:
             s.alive = False

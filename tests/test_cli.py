@@ -124,6 +124,15 @@ def test_nesting_at_the_depth_limit_runs_check_and_synth(capsys, text):
         assert "error" not in capsys.readouterr().err
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="flat chains overflow the recursive walkers (ROADMAP item 4)",
+)
+def test_check_decides_a_thousand_conjunct_chain():
+    assert run_cli("check", " & ".join(f"p{i}" for i in range(1000))) == 0
+
+
 # Every token of the grammar, over at most two agents.
 FUZZ_TOKENS = (
     "<<", ">>", "[[", "]]", ",", "1", "2", "(", ")", "~", "&", "|", "->",

@@ -42,7 +42,6 @@ from atlplus.syntax import (
     parse,
     por,
     st,
-    successor_payload,
     to_nnf,
     to_text,
 )
@@ -166,7 +165,7 @@ def test_gamma_component_structure():
     assert len(deferring) == 1 and len(done) == 1
     c = deferring[0]
     assert is_successor_formula(c.step)
-    assert successor_payload(c.step) is c.next_ev
+    assert c.step.path.state is c.next_ev
     assert c.rendered is conj(c.now, c.step)
     assert done[0].rendered is done[0].now
 
@@ -269,7 +268,7 @@ def test_closure_is_closed_under_components():
                 for c in gamma_components(g):
                     assert c.rendered in cl
             elif is_successor_formula(g):
-                assert successor_payload(g) in cl
+                assert g.path.state in cl
 
 
 def test_closure_bound_on_corpus():

@@ -39,7 +39,6 @@ from atlplus.syntax import (
     parse,
     pnext,
     st,
-    successor_payload,
     to_nnf,
     to_text,
     unav,
@@ -283,7 +282,7 @@ def test_classify_all_classes():
     # Successor formulas are their own kind, handled by the next-state rule.
     step = to_nnf(parse("<<1>>X p"), universe)
     assert is_successor_formula(step)
-    assert successor_payload(step) is lit("p")
+    assert step.path.state is lit("p")
 
 
 def test_is_gamma_excludes_next():

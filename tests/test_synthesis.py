@@ -90,7 +90,7 @@ def test_assemble_golden_structure(open_tableau):
 def test_assemble_routes_committed_profiles_to_the_best_realizer(open_tableau):
     _, tab = open_tableau
     d1 = tab.states[0]
-    ev = d1.gamma_formulas()[0]
+    ev = next(iter(d1.linked))
     assert to_text(ev) == "<<1>>(G q | p U q)"
     assert tab.realization[(1, ev)] == 1
     committed, filler = move_cells(d1)
@@ -162,7 +162,7 @@ def test_assemble_requires_a_final_tableau(synthesize, open_tableau):
     pre = build_pretableau(f, UNIVERSE)
     d1 = pre.states[0]
     with pytest.raises(SynthesisError, match="fully eliminated"):
-        synthesize(pre, d1.gamma_formulas()[0], d1)
+        synthesize(pre, next(iter(d1.linked)), d1)
 
 
 def test_assemble_rejects_unsat_tableaus():
@@ -653,3 +653,27 @@ def test_synthesized_models_are_certified(seed):
     m.validate()
     assert check_model(m, f, universe).holds
     assert validate_hintikka(m, universe) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<<2>>X ~p & <<2>>p U p",
+        "<<2>>G [[2]]p U ~p",
+        "[[2]](<<1>>X r) U q",
+        "[[1]]G <<>>q U ~p | p",
+    ],
+)
+def test_unsorted_universe_maps_agents_in_sorted_order(text):
+    # The tableau, the validator and the oracle all give the smallest agent
+    # position 0, so the order the universe lists its agents in is immaterial.
+    models = []
+    for universe in [(1, 2), (2, 1)]:
+        f = to_nnf(parse(text), universe)
+        d = decide(f, universe)
+        assert d.sat
+        m = extract_cgm(assemble(d.tableau))
+        assert validate_hintikka(m, universe) == []
+        assert check_model(m, f, universe).holds
+        models.append(m.to_json())
+    assert models[0] == models[1]

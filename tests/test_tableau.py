@@ -320,7 +320,7 @@ def test_multi_agent_family_golden_counts(text, sat, counts):
 
 def _reference_realization(tab):
     """Ranks found by testing every cell's target states for every pair."""
-    pairs = [(s, g) for s in tab.alive_states() for g in s.gamma_formulas()]
+    pairs = [(s, g) for s in tab.alive_states() for g in s.linked]
     rank = {}
     for s, g in pairs:
         if realized_now(g.path, s.label):
@@ -360,7 +360,7 @@ def _reference_eliminate(tab):
         unrealized = [
             s
             for s in tab.alive_states()
-            if any((s.index, g) not in rank for g in s.gamma_formulas())
+            if any((s.index, g) not in rank for g in s.linked)
         ]
         for s in unrealized:
             s.alive = False
@@ -485,7 +485,6 @@ def test_links_are_read_off_the_expansion_before_the_unconditional_step():
     assert {to_text(g): to_text(c.rendered) for g, c in d4.linked.items()} == {
         "<<1>>(G p | <<1>>X true | p U q)": "q"
     }
-    assert d4.gamma_formulas() == tuple(d4.linked)
 
 
 def test_states_deduplicate_by_label_across_prestates():
