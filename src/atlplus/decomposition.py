@@ -24,16 +24,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .syntax import (
+    ALPHA,
+    BETA,
     FALSE,
+    GAMMA,
     ST_FALSE,
     ST_TRUE,
+    SUCCESSOR,
     TRUE,
     Always,
     And,
-    Enf,
-    FormulaClass,
     FormulaError,
-    Lit,
     Next,
     Or,
     PAnd,
@@ -42,17 +43,13 @@ from .syntax import (
     St,
     StateFormula,
     Until,
-    classify,
     conj,
-    enf,
     is_gamma,
-    is_successor_formula,
-    lit,
     pand,
     pnext,
     por,
+    requantify,
     st,
-    unav,
 )
 
 
@@ -70,6 +67,21 @@ class DecPair(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Slot canonicalization: flatten, drop units, dedup, sort, fold.
+#
+# A canonical join is a left fold of its atoms in *fold order*: for a
+# conjunction of state formulas, key order; for a ``PAnd`` or ``POr`` of
+# path formulas, the state atoms (with their own ``And`` (``Or``) nodes
+# flattened too, each wrapped back by ``st``) in key order, then the
+# temporal atoms in key order.  ``pand`` and ``por`` join two state atoms
+# into one, so the state atoms fold into a single state part first.
+
+
+def _key(g) -> str:
+    return g.key
+
+
+def _path_order(g: PathFormula) -> tuple[bool, str]:
+    return type(g) is not St, g.key
 
 
 def _flatten(parts: Iterable, node_cls: type, unit) -> set:
@@ -79,7 +91,7 @@ def _flatten(parts: Iterable, node_cls: type, unit) -> set:
     stack = list(parts)
     while stack:
         g = stack.pop()
-        if isinstance(g, node_cls):
+        if type(g) is node_cls:
             stack.append(g.lhs)
             stack.append(g.rhs)
         elif g is not unit:
@@ -88,31 +100,67 @@ def _flatten(parts: Iterable, node_cls: type, unit) -> set:
 
 
 def _fold(mk: Callable, start, atoms: Iterable):
-    """``start`` joined by ``mk`` with each of ``atoms`` in key order."""
+    """``start`` joined by ``mk`` with each of ``atoms`` in turn."""
     out = start
-    for g in sorted(atoms, key=lambda x: x.key):
+    for g in atoms:
         out = mk(out, g)
     return out
 
 
+def _state_atoms(parts: Iterable[StateFormula]) -> list[StateFormula]:
+    """The conjuncts of ``parts`` in fold order: flattened, without
+    ``true``, deduplicated and sorted by key."""
+    return sorted(_flatten(parts, And, TRUE), key=_key)
+
+
+def _path_atoms(p: PathFormula, node_cls: type) -> list[PathFormula]:
+    """The atoms of ``p`` as a ``PAnd`` or ``POr`` join, in fold order."""
+    unit, inner = (ST_TRUE, And) if node_cls is PAnd else (ST_FALSE, Or)
+    atoms = _flatten([p], node_cls, unit)
+    states = _flatten([a.state for a in atoms if type(a) is St], inner, unit.state)
+    temporal = [a for a in atoms if type(a) is not St]
+    return sorted(map(st, states), key=_key) + sorted(temporal, key=_key)
+
+
 def _canon_state(parts: Iterable[StateFormula]) -> StateFormula:
-    """The canonical conjunction of ``parts``: flattened, without ``true``,
-    deduplicated and folded in key order (``conj`` folds in ``false``)."""
-    return _fold(conj, TRUE, _flatten(parts, And, TRUE))
+    """The canonical conjunction of ``parts`` (``conj`` folds in ``false``)."""
+    return _fold(conj, TRUE, _state_atoms(parts))
 
 
-def _canon_path(parts: Iterable[PathFormula], node_cls: type) -> PathFormula:
-    """The canonical ``PAnd`` or ``POr`` join of ``parts``.
+def _join(mk: Callable, unit, left: tuple, right: tuple, order: Callable):
+    """The canonical ``mk``-join of two canonical nodes, each given as
+    ``(node, atoms in fold order)``.
 
-    The state atoms, with their own ``And`` (``Or``) nodes flattened too,
-    fold into one state part (``pand`` and ``por`` join two state atoms into one),
-    which the sorted temporal atoms then join.
+    When every right atom follows every left one, the join's fold passes
+    through the left node, so only the right atoms are folded onto it.
+    Otherwise the two sorted atom lists are merged and folded from ``unit``.
     """
-    unit, mk, inner = (ST_TRUE, pand, And) if node_cls is PAnd else (ST_FALSE, por, Or)
-    atoms = _flatten(parts, node_cls, unit)
-    states = [a.state for a in atoms if isinstance(a, St)]
-    state_part = _fold(mk, unit, map(st, _flatten(states, inner, unit.state)))
-    return _fold(mk, state_part, [a for a in atoms if not isinstance(a, St)])
+    node, atoms = left
+    other, more = right
+    if not more:
+        return node
+    if not atoms:
+        return other
+    if order(atoms[-1]) < order(more[0]):
+        return _fold(mk, node, more)
+    return _fold(mk, unit, sorted({*atoms, *more}, key=order))
+
+
+def _sides(pairs: Iterable[DecPair], node_cls: type, mk: Callable, unit) -> list:
+    """Each pair's now and later as ``(canonical node, atoms in fold order)``,
+    ready for :func:`_join` with the other operand's pairs.
+
+    Now-parts and the remainders that ``dec`` joins are canonical already,
+    and so is a single temporal atom.  Only a remainder that is a state
+    formula, the payload of an ``X`` of any shape, is folded.
+    """
+    sides = []
+    for now, later in pairs:
+        later_atoms = _path_atoms(later, node_cls)
+        if type(later) is St:
+            later = _fold(mk, unit, later_atoms)
+        sides.append(((now, _state_atoms([now])), (later, later_atoms)))
+    return sides
 
 
 def _pair(now_parts: Iterable[StateFormula], later: PathFormula) -> DecPair:
@@ -130,7 +178,12 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
     """All now/later pairs of a normal-form path formula, in a fixed order:
     base operators contribute their defining pairs; a conjunction combines
     every pair of pairs; a disjunction keeps both operands' pairs and adds
-    the joint pairs whose obligations overlap on a real suffix."""
+    the joint pairs whose obligations overlap on a real suffix.
+
+    A combined pair joins the two now-parts by conjunction and the two
+    remainders by the connective itself.  Each operand pair is flattened
+    and sorted once per call, and every combination merges those atoms.
+    """
     cached = _DEC_CACHE.get(p)
     if cached is not None:
         return cached
@@ -143,23 +196,28 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
         out = [_pair([p.state], p)]
     elif isinstance(p, Until):
         out = [_pair([p.lhs], p), _pair([p.rhs], ST_TRUE)]
-    elif isinstance(p, PAnd):
+    elif isinstance(p, (PAnd, POr)):
         left = dec(p.lhs)
         right = dec(p.rhs)
-        out = [
-            _pair([a.now, b.now], _canon_path([a.later, b.later], PAnd))
-            for a in left
-            for b in right
-        ]
-    elif isinstance(p, POr):
-        left = dec(p.lhs)
-        right = dec(p.rhs)
-        out = list(left) + list(right)
-        for a in left:
-            for b in right:
-                if a.later is ST_TRUE or b.later is ST_TRUE:
-                    continue
-                out.append(_pair([a.now, b.now], _canon_path([a.later, b.later], POr)))
+        node_cls = type(p)
+        if node_cls is PAnd:
+            mk, unit = pand, ST_TRUE
+            out = []
+        else:
+            mk, unit = por, ST_FALSE
+            out = list(left) + list(right)
+            # Only pairs that leave a real suffix combine.
+            left = [a for a in left if a.later is not ST_TRUE]
+            right = [b for b in right if b.later is not ST_TRUE]
+        right_sides = _sides(right, node_cls, mk, unit)
+        for now_a, later_a in _sides(left, node_cls, mk, unit):
+            for now_b, later_b in right_sides:
+                out.append(
+                    DecPair(
+                        _join(conj, TRUE, now_a, now_b, _key),
+                        _join(mk, unit, later_a, later_b, _path_order),
+                    )
+                )
     else:
         raise FormulaError(f"cannot decompose {p!r}")
     deduped: dict[DecPair, None] = {}
@@ -170,7 +228,7 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaComponent:
     """One way to start satisfying a quantified path formula.
 
@@ -195,14 +253,13 @@ def gamma_components(f: StateFormula) -> tuple[GammaComponent, ...]:
         return cached
     if not is_gamma(f):
         raise FormulaError(f"not a gamma formula: {f!r}")
-    quantify = enf if isinstance(f, Enf) else unav
     components = []
     for now, later in dec(f.path):
         if later is ST_TRUE:
             components.append(GammaComponent(now, None, None, now))
         else:
-            next_ev = quantify(f.coalition, later)
-            step = quantify(f.coalition, pnext(next_ev))
+            next_ev = requantify(f, later)
+            step = requantify(f, pnext(next_ev))
             components.append(GammaComponent(now, next_ev, step, conj(now, step)))
     result = tuple(components)
     _GAMMA_CACHE[f] = result
@@ -218,9 +275,10 @@ def holds_locally(g: StateFormula, label: frozenset[StateFormula]) -> bool:
     the exact node is not."""
     if g is TRUE or g in label:
         return True
-    if isinstance(g, And):
+    kind = g.kind
+    if kind is ALPHA:
         return holds_locally(g.lhs, label) and holds_locally(g.rhs, label)
-    if isinstance(g, Or):
+    if kind is BETA:
         return holds_locally(g.lhs, label) or holds_locally(g.rhs, label)
     return False
 
@@ -230,18 +288,17 @@ def realized_now(p: PathFormula, label: frozenset[StateFormula]) -> bool:
     no outstanding suffix obligation beyond invariants that may simply
     continue.  ``X`` is never discharged locally; ``G p`` counts as locally
     consistent when ``p`` is present; ``l U r`` needs ``r`` now."""
-    if isinstance(p, St):
-        return holds_locally(p.state, label)
-    if isinstance(p, Next):
-        return False
-    if isinstance(p, Always):
-        return holds_locally(p.state, label)
-    if isinstance(p, Until):
-        return holds_locally(p.rhs, label)
-    if isinstance(p, PAnd):
+    t = type(p)
+    if t is PAnd:
         return realized_now(p.lhs, label) and realized_now(p.rhs, label)
-    if isinstance(p, POr):
+    if t is POr:
         return realized_now(p.lhs, label) or realized_now(p.rhs, label)
+    if t is Until:
+        return holds_locally(p.rhs, label)
+    if t is St or t is Always:
+        return holds_locally(p.state, label)
+    if t is Next:
+        return False
     raise FormulaError(f"cannot evaluate {p!r}")
 
 
@@ -249,7 +306,7 @@ def realized_now(p: PathFormula, label: frozenset[StateFormula]) -> bool:
 # Full expansions
 
 
-@dataclass
+@dataclass(slots=True)
 class _Branch:
     members: set[StateFormula]
     queue: deque[StateFormula]
@@ -264,7 +321,7 @@ class _Branch:
         if f is FALSE:
             self.dead = True
             return
-        if isinstance(f, Lit) and lit(f.name, not f.positive) in self.members:
+        if f.complement in self.members:  # None unless ``f`` is a literal
             self.dead = True
             return
         self.members.add(f)
@@ -285,7 +342,7 @@ def full_expansions(
     function of the label alone: see :func:`gamma_links`.
     """
     start = _Branch(set(), deque())
-    for f in sorted(set(label), key=lambda g: g.key):
+    for f in sorted(set(label), key=_key):
         start.add(f)
     results: dict[frozenset[StateFormula], None] = {}
     stack: list[_Branch] = [start]
@@ -293,17 +350,17 @@ def full_expansions(
         branch = stack.pop()
         while not branch.dead and branch.queue:
             f = branch.queue.popleft()
-            cls = classify(f)
-            if cls is FormulaClass.PRIMITIVE:
-                continue
-            if cls is FormulaClass.ALPHA:
+            kind = f.kind
+            if kind is ALPHA:
                 branch.add(f.lhs)
                 branch.add(f.rhs)
                 continue
-            if cls is FormulaClass.BETA:
+            if kind is BETA:
                 alternatives: list[StateFormula] = [f.lhs, f.rhs]
-            else:  # gamma
+            elif kind is GAMMA:
                 alternatives = [c.rendered for c in gamma_components(f)]
+            else:  # primitive or successor
+                continue
             for alt in reversed(alternatives[1:]):
                 sibling = branch.clone()
                 sibling.add(alt)
@@ -322,7 +379,8 @@ def gamma_links(label: frozenset[StateFormula]) -> dict[StateFormula, GammaCompo
     before the successor rule adds the unconditional step.
     """
     linked: dict[StateFormula, GammaComponent] = {}
-    for f in sorted(filter(is_gamma, label), key=lambda g: g.key):
+    gammas = [f for f in label if f.kind is GAMMA]
+    for f in sorted(gammas, key=_key):
         for component in gamma_components(f):
             if component.rendered in label:
                 linked[f] = component
@@ -363,13 +421,13 @@ def closure(
     add(f)
     while queue:
         g = queue.popleft()
-        cls = classify(g)
-        if cls in (FormulaClass.ALPHA, FormulaClass.BETA):
+        kind = g.kind
+        if kind is ALPHA or kind is BETA:
             add(g.lhs)
             add(g.rhs)
-        elif cls is FormulaClass.GAMMA:
+        elif kind is GAMMA:
             for component in gamma_components(g):
                 add(component.rendered)
-        elif is_successor_formula(g):
+        elif kind is SUCCESSOR:
             add(g.path.state)
     return tuple(seen)

@@ -47,10 +47,42 @@ class ParseError(FormulaError):
 # AST nodes
 
 
+class FormulaClass(Enum):
+    """The tableau class of a normal-form state formula (see :func:`classify`).
+
+    ``SUCCESSOR`` is only ever a formula's ``kind``: it tells the
+    single-step quantified formulas apart from the other primitives, and
+    :func:`classify` reports it as ``PRIMITIVE``.
+    """
+
+    PRIMITIVE = "primitive"
+    ALPHA = "alpha"
+    BETA = "beta"
+    GAMMA = "gamma"
+    SUCCESSOR = "successor"
+
+
+# The kinds as plain names: a member lookup on the enum class costs several
+# times a module global in the loops that test a formula's kind.
+PRIMITIVE = FormulaClass.PRIMITIVE
+ALPHA = FormulaClass.ALPHA
+BETA = FormulaClass.BETA
+GAMMA = FormulaClass.GAMMA
+SUCCESSOR = FormulaClass.SUCCESSOR
+
+
 class Formula:
-    """Base class of all formula nodes; interned, compared by identity."""
+    """Base class of all formula nodes; interned, compared by identity.
+
+    ``kind`` is fixed when a node is interned: a class attribute of the
+    connectives and constants, a slot of the quantifiers, and ``None`` for
+    path formulas and the surface-only connectives.  ``complement`` is the
+    opposite literal of a ``Lit`` and ``None`` for every other node.
+    """
 
     __slots__ = ("key",)
+    kind: FormulaClass | None = None
+    complement: "Lit | None" = None
 
     def __repr__(self) -> str:
         return self.key
@@ -69,34 +101,39 @@ class PathFormula(Formula):
 
 class TrueConst(StateFormula):
     __slots__ = ()
+    kind = PRIMITIVE
 
 
 class FalseConst(StateFormula):
     __slots__ = ()
+    kind = PRIMITIVE
 
 
 class Lit(StateFormula):
-    __slots__ = ("name", "positive")
+    __slots__ = ("name", "positive", "complement")
+    kind = PRIMITIVE
 
 
 class And(StateFormula):
     __slots__ = ("lhs", "rhs")
+    kind = ALPHA
 
 
 class Or(StateFormula):
     __slots__ = ("lhs", "rhs")
+    kind = BETA
 
 
 class Enf(StateFormula):
     """``<<A>>P`` -- coalition A has a strategy making every play satisfy P."""
 
-    __slots__ = ("coalition", "path")
+    __slots__ = ("coalition", "path", "kind")
 
 
 class Unav(StateFormula):
     """``[[A]]P`` -- coalition A cannot avoid P (an A-co-strategy exists)."""
 
-    __slots__ = ("coalition", "path")
+    __slots__ = ("coalition", "path", "kind")
 
 
 class Not(StateFormula):
@@ -175,8 +212,18 @@ FALSE: FalseConst = _mk(_STATE_TABLE, FalseConst, "false")
 
 
 def lit(name: str, positive: bool = True) -> Lit:
-    key = name if positive else "~" + name
-    return _mk(_STATE_TABLE, Lit, key, name=name, positive=positive)
+    """The literal ``name`` or ``~name``; both are interned together, each
+    the other's ``complement``."""
+    node = _STATE_TABLE.get(name if positive else "~" + name)
+    if node is None:
+        pos = _mk(_STATE_TABLE, Lit, name, name=name, positive=True)
+        neg = _mk(_STATE_TABLE, Lit, "~" + name, name=name, positive=False)
+        pos.complement = neg
+        neg.complement = pos
+        node = pos if positive else neg
+    elif type(node) is not Lit:  # pragma: no cover - defensive
+        raise FormulaError(f"intern-key collision for {node.key!r}")
+    return node
 
 
 def conj(a: StateFormula, b: StateFormula) -> StateFormula:
@@ -215,7 +262,7 @@ def lnot(a: StateFormula) -> StateFormula:
     if a is FALSE:
         return TRUE
     if isinstance(a, Lit):
-        return lit(a.name, not a.positive)
+        return a.complement
     if isinstance(a, Not):
         return a.sub
     return _mk(_STATE_TABLE, Not, f"~({a.key})", sub=a)
@@ -234,19 +281,36 @@ def _coalition(agents: Iterable[int]) -> tuple[int, ...]:
 
 
 def coalition_text(coal: tuple[int, ...]) -> str:
-    return ",".join(str(a) for a in coal)
+    return ",".join(map(str, coal))
+
+
+def _quantified(
+    cls: type, coal: tuple[int, ...], prefix: str, path: PathFormula
+) -> StateFormula:
+    """``cls`` (``Enf`` or ``Unav``) over a canonical coalition, whose key
+    starts with ``prefix`` (``<<A>>`` or ``[[A]]``): a successor formula
+    when ``path`` is a ``Next``, a gamma formula otherwise."""
+    kind = SUCCESSOR if type(path) is Next else GAMMA
+    key = prefix + path.key
+    return _mk(_STATE_TABLE, cls, key, coalition=coal, path=path, kind=kind)
 
 
 def enf(agents: Iterable[int], path: PathFormula) -> Enf:
     coal = _coalition(agents)
-    key = f"<<{coalition_text(coal)}>>{path.key}"
-    return _mk(_STATE_TABLE, Enf, key, coalition=coal, path=path)
+    return _quantified(Enf, coal, f"<<{coalition_text(coal)}>>", path)
 
 
 def unav(agents: Iterable[int], path: PathFormula) -> Unav:
     coal = _coalition(agents)
-    key = f"[[{coalition_text(coal)}]]{path.key}"
-    return _mk(_STATE_TABLE, Unav, key, coalition=coal, path=path)
+    return _quantified(Unav, coal, f"[[{coalition_text(coal)}]]", path)
+
+
+def requantify(f: StateFormula, path: PathFormula) -> StateFormula:
+    """``f``'s quantifier and coalition over ``path``.  ``f`` is an ``Enf``
+    or ``Unav``: its coalition is canonical already, and its key starts
+    with the quantifier prefix, which is reused as it is."""
+    prefix = f.key[: len(f.key) - len(f.path.key)]
+    return _quantified(type(f), f.coalition, prefix, path)
 
 
 def st(state: StateFormula) -> St:
@@ -367,7 +431,7 @@ def _normal_form(
         if g is FALSE:
             return TRUE if neg else FALSE
         if isinstance(g, Lit):
-            return lit(g.name, g.positive != neg)
+            return g.complement if neg else g
         if isinstance(g, Not):
             return ns(g.sub, not neg)
         if isinstance(g, Implies):
@@ -456,35 +520,24 @@ def _path_is_nnf(p: PathFormula) -> bool:
 # Classification
 
 
-class FormulaClass(Enum):
-    PRIMITIVE = "primitive"
-    ALPHA = "alpha"
-    BETA = "beta"
-    GAMMA = "gamma"
-
-
 def classify(f: StateFormula) -> FormulaClass:
-    """Total, mutually exclusive classification of normal-form formulas."""
-    if isinstance(f, (TrueConst, FalseConst, Lit)):
-        return FormulaClass.PRIMITIVE
-    if isinstance(f, And):
-        return FormulaClass.ALPHA
-    if isinstance(f, Or):
-        return FormulaClass.BETA
-    if isinstance(f, (Enf, Unav)):
-        if isinstance(f.path, Next):
-            return FormulaClass.PRIMITIVE
-        return FormulaClass.GAMMA
-    raise FormulaError(f"classify expects a normal-form state formula: {f!r}")
+    """Total, mutually exclusive classification of normal-form formulas:
+    ``f.kind``, with successor formulas reported as primitive."""
+    kind = f.kind
+    if kind is SUCCESSOR:
+        return PRIMITIVE
+    if kind is None:
+        raise FormulaError(f"classify expects a normal-form state formula: {f!r}")
+    return kind
 
 
-def is_successor_formula(f: StateFormula) -> bool:
+def is_successor_formula(f: Formula) -> bool:
     """Quantified single-step formulas ``<<A>>X p`` / ``[[A]]X p``."""
-    return isinstance(f, (Enf, Unav)) and isinstance(f.path, Next)
+    return f.kind is SUCCESSOR
 
 
-def is_gamma(f: StateFormula) -> bool:
-    return isinstance(f, (Enf, Unav)) and not isinstance(f.path, Next)
+def is_gamma(f: Formula) -> bool:
+    return f.kind is GAMMA
 
 
 # ---------------------------------------------------------------------------

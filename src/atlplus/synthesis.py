@@ -23,17 +23,16 @@ from dataclasses import dataclass, field
 from .cgm import CGM, ModelFormatError
 from .decomposition import gamma_components, realized_now
 from .syntax import (
+    ALPHA,
+    BETA,
     FALSE,
+    GAMMA,
+    SUCCESSOR,
     TRUE,
-    And,
     Enf,
-    FormulaClass,
     Lit,
-    Or,
     StateFormula,
-    classify,
     is_gamma,
-    is_successor_formula,
     mentioned_props,
     negate,
     parse,
@@ -454,23 +453,21 @@ def validate_hintikka(
                     f" {to_text(neg)} present"
                 )
         for f in ordered[s]:
-            kind = classify(f)
-            if kind is FormulaClass.ALPHA:
-                assert isinstance(f, And)
+            kind = f.kind
+            if kind is ALPHA:
                 for part in (f.lhs, f.rhs):
                     if part not in label:
                         violations.append(
                             f"H2 violated at state {sid}: {to_text(f)} lacks"
                             f" conjunct {to_text(part)}"
                         )
-            elif kind is FormulaClass.BETA:
-                assert isinstance(f, Or)
+            elif kind is BETA:
                 if f.lhs not in label and f.rhs not in label:
                     violations.append(
                         f"H3 violated at state {sid}: no disjunct of"
                         f" {to_text(f)} present"
                     )
-            elif kind is FormulaClass.GAMMA:
+            elif kind is GAMMA:
                 if not any(
                     c.rendered in label for c in gamma_components(f)
                 ):
@@ -479,7 +476,7 @@ def validate_hintikka(
                         f" {to_text(f)} present"
                     )
         for f in ordered[s]:
-            if not is_successor_formula(f):
+            if f.kind is not SUCCESSOR:
                 continue
             if not forces(s, f, holders[f.path.state]):
                 witness = (
@@ -489,7 +486,7 @@ def validate_hintikka(
                     f"H5 violated at state {sid}: no {witness} for {to_text(f)}"
                 )
 
-    pairs = [(s, f) for s in range(n) for f in ordered[s] if is_gamma(f)]
+    pairs = [(s, f) for s in range(n) for f in ordered[s] if f.kind is GAMMA]
     # eventuality -> the states where it is realized
     realized: defaultdict[StateFormula, set[int]] = defaultdict(set)
     for s, f in pairs:

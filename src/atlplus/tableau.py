@@ -34,18 +34,18 @@ from .decomposition import (
     realized_now,
 )
 from .syntax import (
+    SUCCESSOR,
     TRUE,
     Enf,
     StateFormula,
     Unav,
     enf,
-    is_successor_formula,
     pnext,
     to_text,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Prestate:
     index: int
     label: frozenset[StateFormula]
@@ -59,7 +59,7 @@ class Prestate:
         return [s for s in self.states if s.alive]
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """The move vectors of one state that commit to exactly ``steps``.
 
@@ -77,7 +77,7 @@ class Cell:
     sigmas: tuple[tuple[int, ...], ...]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TState:
     """A saturated node; ``successors`` holds its move vectors as cells.
 
@@ -161,7 +161,7 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
         pre = pending.popleft()
         for expansion in full_expansions(pre.label):
             label = expansion
-            steps = frozenset(filter(is_successor_formula, label))
+            steps = frozenset([g for g in label if g.kind is SUCCESSOR])
             if not steps:
                 steps = frozenset({_unconditional_step(universe)})
                 label = label | steps

@@ -11,8 +11,6 @@ import sys
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from atlplus.cgm import CGM
 from atlplus.checker import ModelChecker, check_model
 from atlplus.decomposition import closure, dec, gamma_components

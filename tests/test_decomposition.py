@@ -1,5 +1,7 @@
 """Now/later decomposition, gamma components, closure, and expansions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -9,6 +11,7 @@ from atlplus.decomposition import (
     ClosureLimitError,
     _canon_state,
     _flatten,
+    _pair,
     closure,
     dec,
     full_expansions,
@@ -26,24 +29,27 @@ from atlplus.syntax import (
     TRUE,
     And,
     FormulaClass,
+    Lit,
     Or,
     PAnd,
     POr,
     St,
+    always,
     classify,
     conj,
     disj,
     default_universe,
     formula_size,
-    is_gamma,
     is_successor_formula,
     lit,
     pand,
     parse,
+    pnext,
     por,
     st,
     to_nnf,
     to_text,
+    until,
 )
 
 P, Q, R_ = lit("p"), lit("q"), lit("r")
@@ -357,8 +363,6 @@ def test_full_expansions_are_saturated(seed):
             elif kind is FormulaClass.GAMMA:
                 assert any(c.rendered in label for c in gamma_components(g))
         for g in label:
-            from atlplus.syntax import Lit, Not
-
             if isinstance(g, Lit):
                 neg = lit(g.name, positive=not g.positive)
                 assert neg not in label
@@ -416,8 +420,13 @@ def _reference_canon_path(parts, node_cls, unit, absorber, mk, state_ops):
 
 def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
     canon_state = decomposition._canon_state
-    canon_path = decomposition._canon_path
+    join = decomposition._join
     calls = {And: 0, PAnd: 0, POr: 0}
+    refs = {
+        conj: (And, (And, TRUE, FALSE, conj)),
+        pand: (PAnd, (PAnd, ST_TRUE, ST_FALSE, pand, (And, TRUE, FALSE, conj))),
+        por: (POr, (POr, ST_FALSE, ST_TRUE, por, (Or, FALSE, TRUE, disj))),
+    }
 
     def checked_state(parts):
         parts = list(parts)
@@ -426,19 +435,19 @@ def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
         calls[And] += 1
         return got
 
-    def checked_path(parts, node_cls):
-        parts = list(parts)
-        if node_cls is PAnd:
-            ref = (PAnd, ST_TRUE, ST_FALSE, pand, (And, TRUE, FALSE, conj))
+    def checked_join(mk, unit, left, right, order):
+        got = join(mk, unit, left, right, order)
+        node_cls, ref = refs[mk]
+        parts = [left[0], right[0]]
+        if node_cls is And:
+            assert got is _reference_canon_state(parts, *ref)
         else:
-            ref = (POr, ST_FALSE, ST_TRUE, por, (Or, FALSE, TRUE, disj))
-        got = canon_path(parts, node_cls)
-        assert got is _reference_canon_path(parts, *ref)
+            assert got is _reference_canon_path(parts, *ref)
         calls[node_cls] += 1
         return got
 
     monkeypatch.setattr(decomposition, "_canon_state", checked_state)
-    monkeypatch.setattr(decomposition, "_canon_path", checked_path)
+    monkeypatch.setattr(decomposition, "_join", checked_join)
     monkeypatch.setattr(decomposition, "_DEC_CACHE", {})
     monkeypatch.setattr(decomposition, "_GAMMA_CACHE", {})
     agents4_sat = (
@@ -451,6 +460,83 @@ def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
         closure(to_nnf(raw, default_universe(raw)))
     # Now-parts and both kinds of path remainders are canonicalized.
     assert min(calls.values()) > 0, calls
+
+
+def _reference_per_pair_path(parts, node_cls):
+    """The flatten-and-fold canonicalizer ``dec`` ran on every combination
+    before it merged pre-sorted atoms."""
+
+    def fold(mk, start, atoms):
+        for g in sorted(atoms, key=lambda x: x.key):
+            start = mk(start, g)
+        return start
+
+    unit, mk, inner = (ST_TRUE, pand, And) if node_cls is PAnd else (ST_FALSE, por, Or)
+    atoms = _flatten(parts, node_cls, unit)
+    states = [a.state for a in atoms if isinstance(a, St)]
+    state_part = fold(mk, unit, map(st, _flatten(states, inner, unit.state)))
+    return fold(mk, state_part, [a for a in atoms if not isinstance(a, St)])
+
+
+def _reference_dec(p):
+    """``dec`` of a ``PAnd`` or ``POr`` with each combination re-flattened
+    and re-folded from its two operand pairs."""
+    left, right = dec(p.lhs), dec(p.rhs)
+    cls = type(p)
+    combined = [
+        _pair([a.now, b.now], _reference_per_pair_path([a.later, b.later], cls))
+        for a in left
+        for b in right
+        if cls is PAnd or (a.later is not ST_TRUE and b.later is not ST_TRUE)
+    ]
+    out = combined if cls is PAnd else list(left) + list(right) + combined
+    return tuple(dict.fromkeys(out))
+
+
+def _assert_dec_matches_reference(p):
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if not isinstance(q, (PAnd, POr)):
+            continue
+        stack += [q.lhs, q.rhs]
+        got, ref = dec(q), _reference_dec(q)
+        assert len(got) == len(ref), q
+        for g, r in zip(got, ref):
+            assert g.now is r.now and g.later is r.later, (q, g, r)
+
+
+_STATES = hst.recursive(
+    hst.sampled_from([TRUE, FALSE, P, Q, R_, NQ]),
+    lambda sub: hst.builds(conj, sub, sub) | hst.builds(disj, sub, sub),
+    max_leaves=4,
+)
+_PATHS = hst.recursive(
+    hst.builds(st, _STATES)
+    | hst.builds(pnext, _STATES)
+    | hst.builds(always, _STATES)
+    | hst.builds(until, _STATES, _STATES),
+    lambda sub: hst.builds(pand, sub, sub) | hst.builds(por, sub, sub),
+    max_leaves=7,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PATHS)
+def test_dec_merge_matches_the_per_pair_reference(p):
+    """Units, duplicate atoms and ``X`` payloads of any shape included."""
+    _assert_dec_matches_reference(p)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dec_merge_matches_the_reference_on_shuffled_untils(n):
+    goals = [f"p{i} U q{i}" for i in range(n)]
+    rng = random.Random(n)
+    for _ in range(3):
+        rng.shuffle(goals)
+        f = nnf("<<1>>(" + " & ".join(goals) + ")")
+        _assert_dec_matches_reference(f.path)
+        assert len(dec(f.path)) == 2**n
 
 
 def test_canonicalization_flattens_a_deep_chain():

@@ -4,21 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from atlplus.decomposition import closure
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import (
     FALSE,
     TRUE,
     And,
     Enf,
+    FalseConst,
     FormulaClass,
     MAX_NESTING_DEPTH,
     FormulaError,
     Lit,
+    Next,
     Not,
     Or,
     ParseError,
     PAnd,
-    St,
+    TrueConst,
     Unav,
     Until,
     always,
@@ -29,6 +32,7 @@ from atlplus.syntax import (
     disj,
     enf,
     formula_size,
+    implies,
     is_gamma,
     is_nnf,
     is_successor_formula,
@@ -36,12 +40,12 @@ from atlplus.syntax import (
     lnot,
     mentioned_agents,
     mentioned_props,
+    pand,
     parse,
     pnext,
     st,
     to_nnf,
     to_text,
-    unav,
     until,
 )
 
@@ -290,6 +294,68 @@ def test_is_gamma_excludes_next():
     assert is_gamma(parse("[[1]](p U q)"))
     assert not is_gamma(parse("<<1>>X p"))
     assert not is_gamma(parse("p & q"))
+
+
+def _reference_classify(f):
+    """The isinstance chain ``classify`` was before each node carried its
+    kind: the reference the interned kinds are checked against."""
+    if isinstance(f, (TrueConst, FalseConst, Lit)):
+        return FormulaClass.PRIMITIVE
+    if isinstance(f, And):
+        return FormulaClass.ALPHA
+    if isinstance(f, Or):
+        return FormulaClass.BETA
+    if isinstance(f, (Enf, Unav)):
+        if isinstance(f.path, Next):
+            return FormulaClass.PRIMITIVE
+        return FormulaClass.GAMMA
+    raise FormulaError(f"classify expects a normal-form state formula: {f!r}")
+
+
+def _roadmap_families():
+    """Small members of the four ROADMAP families: F&G k, dis k, u n and
+    fconj n."""
+    for k in (2, 3):
+        agents = range(1, k + 1)
+        yield " & ".join(f"<<{i}>>(F p{i} & G r)" for i in agents)
+        yield " & ".join(f"<<{i}>>(F p{i} | G q)" for i in agents) + " & [[1]]F ~q"
+    for n in (2, 4):
+        yield "<<1>>(" + " & ".join(f"p{i} U q{i}" for i in range(n)) + ")"
+    for n in (2, 5):
+        yield " & ".join(f"<<1>>F p{i}" for i in range(n))
+
+
+def test_interned_kinds_match_the_isinstance_reference():
+    config = GenConfig(bool_depth=2, allow_constants=True)
+    formulas = list(random_corpus(16, 150, config))
+    formulas += [parse(text) for text in _roadmap_families()]
+    checked = 0
+    for raw in formulas:
+        for f in closure(to_nnf(raw, default_universe(raw))):
+            ref = _reference_classify(f)
+            assert classify(f) is ref, f
+            step = isinstance(f, (Enf, Unav)) and isinstance(f.path, Next)
+            assert is_successor_formula(f) is step, f
+            assert is_gamma(f) is (ref is FormulaClass.GAMMA), f
+            if isinstance(f, Lit):
+                assert f.complement is lit(f.name, not f.positive)
+                assert f.complement.complement is f
+            else:
+                assert f.complement is None
+            checked += 1
+    assert checked > 1000
+
+
+def test_kinds_outside_the_normal_form_state_fragment():
+    p, q = lit("p"), lit("q")
+    for surface in (lnot(conj(p, q)), implies(p, q)):
+        with pytest.raises(FormulaError):
+            classify(surface)
+        assert not is_gamma(surface) and not is_successor_formula(surface)
+    for path in (st(p), pnext(p), always(p), until(p, q), pand(always(p), until(p, q))):
+        with pytest.raises(FormulaError):
+            classify(path)
+        assert not is_gamma(path) and not is_successor_formula(path)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,8 @@ from hypothesis import strategies as hst
 from atlplus.decomposition import realized_now
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import (
-    TRUE,
     default_universe,
     is_successor_formula,
-    lit,
     parse,
     to_nnf,
     to_text,
