@@ -33,17 +33,16 @@ from .syntax import (
     Always,
     And,
     Enf,
+    Formula,
     Implies,
     Lit,
     Next,
     Not,
     Or,
     PAnd,
-    PathFormula,
     POr,
     Release,
     Sometime,
-    St,
     StateFormula,
     Unav,
     Until,
@@ -58,13 +57,13 @@ class CheckError(Exception):
 
 _PENDING, _TRUE, _FALSE = 0, 1, 2
 
-_ATOM_TYPES = (St, Next, Always, Until, Sometime, Release)
+_ATOM_TYPES = (StateFormula, Next, Always, Until, Sometime, Release)
 
 
-def _collect_atoms(path: PathFormula) -> tuple[PathFormula, ...]:
-    atoms: dict[PathFormula, None] = {}
+def _collect_atoms(path: Formula) -> tuple[Formula, ...]:
+    atoms: dict[Formula, None] = {}
 
-    def walk(p: PathFormula) -> None:
+    def walk(p: Formula) -> None:
         if isinstance(p, (PAnd, POr)):
             walk(p.lhs)
             walk(p.rhs)
@@ -186,7 +185,7 @@ class ModelChecker:
         self,
         enforce: bool,
         coalition: tuple[int, ...],
-        path: PathFormula,
+        path: Formula,
         memo: dict[StateFormula, frozenset[int]],
     ) -> frozenset[int]:
         for agent in coalition:
@@ -209,7 +208,7 @@ class ModelChecker:
         choices_of = {counts: self._choices(counts, cpos) for counts in self._profiles}
 
         def path_value(v: tuple[int, ...]) -> bool:
-            def ev(p: PathFormula) -> bool:
+            def ev(p: Formula) -> bool:
                 if isinstance(p, PAnd):
                     return ev(p.lhs) and ev(p.rhs)
                 if isinstance(p, POr):
@@ -285,12 +284,12 @@ class ModelChecker:
         return frozenset(out)
 
     def _statuses(
-        self, atom: PathFormula, memo: dict[StateFormula, frozenset[int]]
+        self, atom: Formula, memo: dict[StateFormula, frozenset[int]]
     ) -> list[int]:
         """The status ``atom`` takes, while pending, on entering each state."""
         states = range(self.n)
-        if isinstance(atom, (St, Next)):
-            now = self._eval(atom.state, memo)
+        if isinstance(atom, (StateFormula, Next)):
+            now = self._eval(atom.state if type(atom) is Next else atom, memo)
             return [_TRUE if s in now else _FALSE for s in states]
         if isinstance(atom, Always):
             now = self._eval(atom.state, memo)

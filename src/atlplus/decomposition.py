@@ -3,8 +3,8 @@
 A path formula with at most one temporal operator per branch can be split
 into *now/later* pairs: each pair says what must hold at the first state
 (a state formula) and what the remaining suffix play must satisfy (a path
-formula, ``true`` when nothing remains).  Boolean path connectives combine
-the pairs of their operands pairwise.
+formula, which is ``TRUE`` when nothing remains).  Boolean path
+connectives combine the pairs of their operands pairwise.
 
 For a quantified path formula (a gamma formula) every pair turns into one
 *component*: a state formula that is either the now-part alone (when
@@ -28,19 +28,16 @@ from .syntax import (
     BETA,
     FALSE,
     GAMMA,
-    ST_FALSE,
-    ST_TRUE,
     SUCCESSOR,
     TRUE,
     Always,
     And,
+    Formula,
     FormulaError,
     Next,
     Or,
     PAnd,
-    PathFormula,
     POr,
-    St,
     StateFormula,
     Until,
     conj,
@@ -49,7 +46,6 @@ from .syntax import (
     pnext,
     por,
     requantify,
-    st,
 )
 
 
@@ -59,10 +55,11 @@ class ClosureLimitError(FormulaError):
 
 class DecPair(NamedTuple):
     """One way to satisfy a path formula: ``now`` holds at the first state
-    and the suffix play satisfies ``later`` (``true`` when nothing remains)."""
+    and the suffix play satisfies ``later``, which is ``TRUE`` when nothing
+    remains."""
 
     now: StateFormula
-    later: PathFormula
+    later: Formula
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +68,18 @@ class DecPair(NamedTuple):
 # A canonical join is a left fold of its atoms in *fold order*: for a
 # conjunction of state formulas, key order; for a ``PAnd`` or ``POr`` of
 # path formulas, the state atoms (with their own ``And`` (``Or``) nodes
-# flattened too, each wrapped back by ``st``) in key order, then the
-# temporal atoms in key order.  ``pand`` and ``por`` join two state atoms
-# into one, so the state atoms fold into a single state part first.
+# flattened too) in key order, then the temporal atoms in key order.
+# ``pand`` and ``por`` join two state atoms into one state formula, so the
+# state atoms fold into a single state part first.  Decomposition sees only
+# normal-form input, where a state formula is one whose ``kind`` is set.
 
 
 def _key(g) -> str:
     return g.key
 
 
-def _path_order(g: PathFormula) -> tuple[bool, str]:
-    return type(g) is not St, g.key
+def _path_order(g: Formula) -> tuple[bool, str]:
+    return g.kind is None, g.key
 
 
 def _flatten(parts: Iterable, node_cls: type, unit) -> set:
@@ -113,13 +111,13 @@ def _state_atoms(parts: Iterable[StateFormula]) -> list[StateFormula]:
     return sorted(_flatten(parts, And, TRUE), key=_key)
 
 
-def _path_atoms(p: PathFormula, node_cls: type) -> list[PathFormula]:
+def _path_atoms(p: Formula, node_cls: type) -> list[Formula]:
     """The atoms of ``p`` as a ``PAnd`` or ``POr`` join, in fold order."""
-    unit, inner = (ST_TRUE, And) if node_cls is PAnd else (ST_FALSE, Or)
+    unit, inner = (TRUE, And) if node_cls is PAnd else (FALSE, Or)
     atoms = _flatten([p], node_cls, unit)
-    states = _flatten([a.state for a in atoms if type(a) is St], inner, unit.state)
-    temporal = [a for a in atoms if type(a) is not St]
-    return sorted(map(st, states), key=_key) + sorted(temporal, key=_key)
+    states = _flatten([a for a in atoms if a.kind is not None], inner, unit)
+    temporal = [a for a in atoms if a.kind is None]
+    return sorted(states, key=_key) + sorted(temporal, key=_key)
 
 
 def _canon_state(parts: Iterable[StateFormula]) -> StateFormula:
@@ -157,13 +155,13 @@ def _sides(pairs: Iterable[DecPair], node_cls: type, mk: Callable, unit) -> list
     sides = []
     for now, later in pairs:
         later_atoms = _path_atoms(later, node_cls)
-        if type(later) is St:
+        if later.kind is not None:
             later = _fold(mk, unit, later_atoms)
         sides.append(((now, _state_atoms([now])), (later, later_atoms)))
     return sides
 
 
-def _pair(now_parts: Iterable[StateFormula], later: PathFormula) -> DecPair:
+def _pair(now_parts: Iterable[StateFormula], later: Formula) -> DecPair:
     return DecPair(_canon_state(now_parts), later)
 
 
@@ -171,10 +169,10 @@ def _pair(now_parts: Iterable[StateFormula], later: PathFormula) -> DecPair:
 # Decomposition proper
 
 
-_DEC_CACHE: dict[PathFormula, tuple[DecPair, ...]] = {}
+_DEC_CACHE: dict[Formula, tuple[DecPair, ...]] = {}
 
 
-def dec(p: PathFormula) -> tuple[DecPair, ...]:
+def dec(p: Formula) -> tuple[DecPair, ...]:
     """All now/later pairs of a normal-form path formula, in a fixed order:
     base operators contribute their defining pairs; a conjunction combines
     every pair of pairs; a disjunction keeps both operands' pairs and adds
@@ -188,27 +186,27 @@ def dec(p: PathFormula) -> tuple[DecPair, ...]:
     if cached is not None:
         return cached
     out: list[DecPair]
-    if isinstance(p, St):
-        out = [_pair([p.state], ST_TRUE)]
+    if p.kind is not None:
+        out = [_pair([p], TRUE)]
     elif isinstance(p, Next):
-        out = [_pair([], st(p.state))]
+        out = [_pair([], p.state)]
     elif isinstance(p, Always):
         out = [_pair([p.state], p)]
     elif isinstance(p, Until):
-        out = [_pair([p.lhs], p), _pair([p.rhs], ST_TRUE)]
+        out = [_pair([p.lhs], p), _pair([p.rhs], TRUE)]
     elif isinstance(p, (PAnd, POr)):
         left = dec(p.lhs)
         right = dec(p.rhs)
         node_cls = type(p)
         if node_cls is PAnd:
-            mk, unit = pand, ST_TRUE
+            mk, unit = pand, TRUE
             out = []
         else:
-            mk, unit = por, ST_FALSE
+            mk, unit = por, FALSE
             out = list(left) + list(right)
             # Only pairs that leave a real suffix combine.
-            left = [a for a in left if a.later is not ST_TRUE]
-            right = [b for b in right if b.later is not ST_TRUE]
+            left = [a for a in left if a.later is not TRUE]
+            right = [b for b in right if b.later is not TRUE]
         right_sides = _sides(right, node_cls, mk, unit)
         for now_a, later_a in _sides(left, node_cls, mk, unit):
             for now_b, later_b in right_sides:
@@ -255,7 +253,7 @@ def gamma_components(f: StateFormula) -> tuple[GammaComponent, ...]:
         raise FormulaError(f"not a gamma formula: {f!r}")
     components = []
     for now, later in dec(f.path):
-        if later is ST_TRUE:
+        if later is TRUE:
             components.append(GammaComponent(now, None, None, now))
         else:
             next_ev = requantify(f, later)
@@ -283,11 +281,12 @@ def holds_locally(g: StateFormula, label: frozenset[StateFormula]) -> bool:
     return False
 
 
-def realized_now(p: PathFormula, label: frozenset[StateFormula]) -> bool:
+def realized_now(p: Formula, label: frozenset[StateFormula]) -> bool:
     """Whether the path formula is already discharged by the label alone:
     no outstanding suffix obligation beyond invariants that may simply
-    continue.  ``X`` is never discharged locally; ``G p`` counts as locally
-    consistent when ``p`` is present; ``l U r`` needs ``r`` now."""
+    continue.  ``X`` is never discharged locally; a state formula must hold
+    now; ``G p`` counts as locally consistent when ``p`` is present;
+    ``l U r`` needs ``r`` now."""
     t = type(p)
     if t is PAnd:
         return realized_now(p.lhs, label) and realized_now(p.rhs, label)
@@ -295,11 +294,13 @@ def realized_now(p: PathFormula, label: frozenset[StateFormula]) -> bool:
         return realized_now(p.lhs, label) or realized_now(p.rhs, label)
     if t is Until:
         return holds_locally(p.rhs, label)
-    if t is St or t is Always:
+    if t is Always:
         return holds_locally(p.state, label)
     if t is Next:
         return False
-    raise FormulaError(f"cannot evaluate {p!r}")
+    if p.kind is None:
+        raise FormulaError(f"cannot evaluate {p!r}")
+    return holds_locally(p, label)
 
 
 # ---------------------------------------------------------------------------

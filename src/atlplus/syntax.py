@@ -5,7 +5,9 @@ formulas constrain individual plays and occur only under the two strategic
 quantifiers (``<<A>>`` -- coalition A can enforce; ``[[A]]`` -- coalition A
 cannot avoid).  Path formulas carry at most one temporal operator per
 branch: temporal operators apply to state formulas only, and Boolean
-connectives combine path formulas.
+connectives combine path formulas.  A state formula is itself a path
+formula, which holds on a play when it holds at the play's first state;
+it sits in a path position as it is, with no wrapper node.
 
 Surface connectives (general negation, implication, ``F``, ``R``) are
 eliminated by :func:`to_nnf`, which pushes negation to the literals and
@@ -15,7 +17,7 @@ enforceability.  Everything downstream operates on the normal-form core.
 Formulas are hash-consed: building the same shape twice returns the same
 object, so equality is identity and formula sets are cheap.  Each formula
 carries a canonical ``key`` string that serves as a stable total order.
-The two intern tables (state and path formulas) are this module's only
+The one intern table, which holds every node, is this module's only
 shared mutable state (guarded by the GIL); all operations are otherwise
 pure functions of their inputs.  Other modules keep process-wide caches
 of their own: ``decomposition._DEC_CACHE`` and ``_GAMMA_CACHE``, keyed by
@@ -76,8 +78,8 @@ class Formula:
 
     ``kind`` is fixed when a node is interned: a class attribute of the
     connectives and constants, a slot of the quantifiers, and ``None`` for
-    path formulas and the surface-only connectives.  ``complement`` is the
-    opposite literal of a ``Lit`` and ``None`` for every other node.
+    ``PathFormula`` nodes and the surface-only connectives.  ``complement``
+    is the opposite literal of a ``Lit`` and ``None`` for every other node.
     """
 
     __slots__ = ("key",)
@@ -96,6 +98,9 @@ class StateFormula(Formula):
 
 
 class PathFormula(Formula):
+    """A path formula that is not a state formula: a temporal operator, or
+    a Boolean combination with one among its operands."""
+
     __slots__ = ()
 
 
@@ -148,12 +153,6 @@ class Implies(StateFormula):
     __slots__ = ("lhs", "rhs")
 
 
-class St(PathFormula):
-    """A state formula used as a path formula (evaluated at the first state)."""
-
-    __slots__ = ("state",)
-
-
 class Next(PathFormula):
     __slots__ = ("state",)
 
@@ -190,34 +189,35 @@ class POr(PathFormula):
 # Interning
 
 
-_STATE_TABLE: dict[str, StateFormula] = {}
-_PATH_TABLE: dict[str, PathFormula] = {}
+_TABLE: dict[str, Formula] = {}
 
 
-def _mk(table: dict, cls: type, key: str, **fields) -> Formula:
-    node = table.get(key)
+def _mk(cls: type, key: str, *values) -> Formula:
+    """The interned ``cls`` node of ``key``; on a miss, a new node whose
+    slots take ``values`` in the order of ``cls.__slots__``."""
+    node = _TABLE.get(key)
     if node is None:
         node = cls.__new__(cls)
         node.key = key
-        for name, value in fields.items():
+        for name, value in zip(cls.__slots__, values):
             setattr(node, name, value)
-        table[key] = node
+        _TABLE[key] = node
     elif type(node) is not cls:  # pragma: no cover - defensive
         raise FormulaError(f"intern-key collision for {key!r}")
     return node
 
 
-TRUE: TrueConst = _mk(_STATE_TABLE, TrueConst, "true")
-FALSE: FalseConst = _mk(_STATE_TABLE, FalseConst, "false")
+TRUE: TrueConst = _mk(TrueConst, "true")
+FALSE: FalseConst = _mk(FalseConst, "false")
 
 
 def lit(name: str, positive: bool = True) -> Lit:
     """The literal ``name`` or ``~name``; both are interned together, each
     the other's ``complement``."""
-    node = _STATE_TABLE.get(name if positive else "~" + name)
+    node = _TABLE.get(name if positive else "~" + name)
     if node is None:
-        pos = _mk(_STATE_TABLE, Lit, name, name=name, positive=True)
-        neg = _mk(_STATE_TABLE, Lit, "~" + name, name=name, positive=False)
+        pos = _mk(Lit, name, name, True)
+        neg = _mk(Lit, "~" + name, name, False)
         pos.complement = neg
         neg.complement = pos
         node = pos if positive else neg
@@ -238,7 +238,7 @@ def conj(a: StateFormula, b: StateFormula) -> StateFormula:
         return a
     if b.key < a.key:
         a, b = b, a
-    return _mk(_STATE_TABLE, And, f"({a.key} & {b.key})", lhs=a, rhs=b)
+    return _mk(And, f"({a.key} & {b.key})", a, b)
 
 
 def disj(a: StateFormula, b: StateFormula) -> StateFormula:
@@ -252,7 +252,7 @@ def disj(a: StateFormula, b: StateFormula) -> StateFormula:
         return a
     if b.key < a.key:
         a, b = b, a
-    return _mk(_STATE_TABLE, Or, f"({a.key} | {b.key})", lhs=a, rhs=b)
+    return _mk(Or, f"({a.key} | {b.key})", a, b)
 
 
 def lnot(a: StateFormula) -> StateFormula:
@@ -265,11 +265,11 @@ def lnot(a: StateFormula) -> StateFormula:
         return a.complement
     if isinstance(a, Not):
         return a.sub
-    return _mk(_STATE_TABLE, Not, f"~({a.key})", sub=a)
+    return _mk(Not, f"~({a.key})", a)
 
 
 def implies(a: StateFormula, b: StateFormula) -> StateFormula:
-    return _mk(_STATE_TABLE, Implies, f"({a.key} -> {b.key})", lhs=a, rhs=b)
+    return _mk(Implies, f"({a.key} -> {b.key})", a, b)
 
 
 def _coalition(agents: Iterable[int]) -> tuple[int, ...]:
@@ -285,27 +285,27 @@ def coalition_text(coal: tuple[int, ...]) -> str:
 
 
 def _quantified(
-    cls: type, coal: tuple[int, ...], prefix: str, path: PathFormula
+    cls: type, coal: tuple[int, ...], prefix: str, path: Formula
 ) -> StateFormula:
     """``cls`` (``Enf`` or ``Unav``) over a canonical coalition, whose key
     starts with ``prefix`` (``<<A>>`` or ``[[A]]``): a successor formula
     when ``path`` is a ``Next``, a gamma formula otherwise."""
     kind = SUCCESSOR if type(path) is Next else GAMMA
     key = prefix + path.key
-    return _mk(_STATE_TABLE, cls, key, coalition=coal, path=path, kind=kind)
+    return _mk(cls, key, coal, path, kind)
 
 
-def enf(agents: Iterable[int], path: PathFormula) -> Enf:
+def enf(agents: Iterable[int], path: Formula) -> Enf:
     coal = _coalition(agents)
     return _quantified(Enf, coal, f"<<{coalition_text(coal)}>>", path)
 
 
-def unav(agents: Iterable[int], path: PathFormula) -> Unav:
+def unav(agents: Iterable[int], path: Formula) -> Unav:
     coal = _coalition(agents)
     return _quantified(Unav, coal, f"[[{coalition_text(coal)}]]", path)
 
 
-def requantify(f: StateFormula, path: PathFormula) -> StateFormula:
+def requantify(f: StateFormula, path: Formula) -> StateFormula:
     """``f``'s quantifier and coalition over ``path``.  ``f`` is an ``Enf``
     or ``Unav``: its coalition is canonical already, and its key starts
     with the quantifier prefix, which is reused as it is."""
@@ -313,64 +313,60 @@ def requantify(f: StateFormula, path: PathFormula) -> StateFormula:
     return _quantified(type(f), f.coalition, prefix, path)
 
 
-def st(state: StateFormula) -> St:
-    return _mk(_PATH_TABLE, St, state.key, state=state)
-
-
-ST_TRUE: St = st(TRUE)
-ST_FALSE: St = st(FALSE)
-
-
 def pnext(state: StateFormula) -> Next:
-    return _mk(_PATH_TABLE, Next, f"(X {state.key})", state=state)
+    return _mk(Next, f"(X {state.key})", state)
 
 
 def always(state: StateFormula) -> Always:
-    return _mk(_PATH_TABLE, Always, f"(G {state.key})", state=state)
+    return _mk(Always, f"(G {state.key})", state)
 
 
 def until(lhs: StateFormula, rhs: StateFormula) -> Until:
-    return _mk(_PATH_TABLE, Until, f"({lhs.key} U {rhs.key})", lhs=lhs, rhs=rhs)
+    return _mk(Until, f"({lhs.key} U {rhs.key})", lhs, rhs)
 
 
 def sometime(state: StateFormula) -> Sometime:
-    return _mk(_PATH_TABLE, Sometime, f"(F {state.key})", state=state)
+    return _mk(Sometime, f"(F {state.key})", state)
 
 
 def release(lhs: StateFormula, rhs: StateFormula) -> Release:
-    return _mk(_PATH_TABLE, Release, f"({lhs.key} R {rhs.key})", lhs=lhs, rhs=rhs)
+    return _mk(Release, f"({lhs.key} R {rhs.key})", lhs, rhs)
 
 
-def pand(a: PathFormula, b: PathFormula) -> PathFormula:
-    if isinstance(a, St) and isinstance(b, St):
-        return st(conj(a.state, b.state))
-    if a is ST_TRUE:
+def pand(a: Formula, b: Formula) -> Formula:
+    """Path conjunction: the ``conj`` of two state formulas, otherwise a
+    ``PAnd`` with the same folding and operand order as ``conj``."""
+    if isinstance(a, StateFormula) and isinstance(b, StateFormula):
+        return conj(a, b)
+    if a is TRUE:
         return b
-    if b is ST_TRUE:
+    if b is TRUE:
         return a
-    if a is ST_FALSE or b is ST_FALSE:
-        return ST_FALSE
+    if a is FALSE or b is FALSE:
+        return FALSE
     if a is b:
         return a
     if b.key < a.key:
         a, b = b, a
-    return _mk(_PATH_TABLE, PAnd, f"({a.key} & {b.key})", lhs=a, rhs=b)
+    return _mk(PAnd, f"({a.key} & {b.key})", a, b)
 
 
-def por(a: PathFormula, b: PathFormula) -> PathFormula:
-    if isinstance(a, St) and isinstance(b, St):
-        return st(disj(a.state, b.state))
-    if a is ST_FALSE:
+def por(a: Formula, b: Formula) -> Formula:
+    """Path disjunction: the ``disj`` of two state formulas, otherwise a
+    ``POr`` with the same folding and operand order as ``disj``."""
+    if isinstance(a, StateFormula) and isinstance(b, StateFormula):
+        return disj(a, b)
+    if a is FALSE:
         return b
-    if b is ST_FALSE:
+    if b is FALSE:
         return a
-    if a is ST_TRUE or b is ST_TRUE:
-        return ST_TRUE
+    if a is TRUE or b is TRUE:
+        return TRUE
     if a is b:
         return a
     if b.key < a.key:
         a, b = b, a
-    return _mk(_PATH_TABLE, POr, f"({a.key} | {b.key})", lhs=a, rhs=b)
+    return _mk(POr, f"({a.key} | {b.key})", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +455,9 @@ def _normal_form(
             return unav(g.coalition, path)
         raise FormulaError(f"not a state formula: {g!r}")
 
-    def np(p: PathFormula, neg: bool) -> PathFormula:
-        if isinstance(p, St):
-            return st(ns(p.state, neg))
+    def np(p: Formula, neg: bool) -> Formula:
+        if isinstance(p, StateFormula):
+            return ns(p, neg)
         if isinstance(p, Next):
             return pnext(ns(p.state, neg))
         if isinstance(p, Always):
@@ -495,24 +491,16 @@ def _normal_form(
     return ns(f, negated)
 
 
-def is_nnf(f: StateFormula) -> bool:
+def is_nnf(f: Formula) -> bool:
     """True when ``f`` contains no surface-only connectives."""
     if isinstance(f, (TrueConst, FalseConst, Lit)):
         return True
-    if isinstance(f, (And, Or)):
+    if isinstance(f, (And, Or, Until, PAnd, POr)):
         return is_nnf(f.lhs) and is_nnf(f.rhs)
     if isinstance(f, (Enf, Unav)):
-        return _path_is_nnf(f.path)
-    return False
-
-
-def _path_is_nnf(p: PathFormula) -> bool:
-    if isinstance(p, (St, Next, Always)):
-        return is_nnf(p.state)
-    if isinstance(p, Until):
-        return is_nnf(p.lhs) and is_nnf(p.rhs)
-    if isinstance(p, (PAnd, POr)):
-        return _path_is_nnf(p.lhs) and _path_is_nnf(p.rhs)
+        return is_nnf(f.path)
+    if isinstance(f, (Next, Always)):
+        return is_nnf(f.state)
     return False
 
 
@@ -550,31 +538,22 @@ def formula_size(f: StateFormula, universe: tuple[int, ...] | None = None) -> in
         universe = default_universe(f)
     k = len(universe)
 
-    def size_state(g: StateFormula) -> int:
+    def size(g: Formula) -> int:
         if isinstance(g, (TrueConst, FalseConst)):
             return 1
         if isinstance(g, Lit):
             return 1 if g.positive else 2
         if isinstance(g, Not):
-            return 1 + size_state(g.sub)
-        if isinstance(g, (And, Or, Implies)):
-            return 1 + size_state(g.lhs) + size_state(g.rhs)
+            return 1 + size(g.sub)
+        if isinstance(g, (Next, Always, Sometime)):
+            return 1 + size(g.state)
+        if isinstance(g, (And, Or, Implies, Until, Release, PAnd, POr)):
+            return 1 + size(g.lhs) + size(g.rhs)
         if isinstance(g, (Enf, Unav)):
-            return 1 + k + size_path(g.path)
-        raise FormulaError(f"not a state formula: {g!r}")
+            return 1 + k + size(g.path)
+        raise FormulaError(f"not a formula: {g!r}")
 
-    def size_path(p: PathFormula) -> int:
-        if isinstance(p, St):
-            return size_state(p.state)
-        if isinstance(p, (Next, Always, Sometime)):
-            return 1 + size_state(p.state)
-        if isinstance(p, (Until, Release)):
-            return 1 + size_state(p.lhs) + size_state(p.rhs)
-        if isinstance(p, (PAnd, POr)):
-            return 1 + size_path(p.lhs) + size_path(p.rhs)
-        raise FormulaError(f"not a path formula: {p!r}")
-
-    return size_state(f)
+    return size(f)
 
 
 def boolean_depth(f: StateFormula) -> int:
@@ -592,8 +571,10 @@ def boolean_depth(f: StateFormula) -> int:
             return max(_superficial_depth(g.path), depth_path_states(g.path))
         return 0
 
-    def depth_path_states(p: PathFormula) -> int:
-        if isinstance(p, (St, Next, Always)):
+    def depth_path_states(p: Formula) -> int:
+        if isinstance(p, StateFormula):
+            return depth_state(p)
+        if isinstance(p, (Next, Always)):
             return depth_state(p.state)
         if isinstance(p, Until):
             return max(depth_state(p.lhs), depth_state(p.rhs))
@@ -604,7 +585,7 @@ def boolean_depth(f: StateFormula) -> int:
     return depth_state(f)
 
 
-def _superficial_depth(p: PathFormula) -> int:
+def _superficial_depth(p: Formula) -> int:
     if isinstance(p, (PAnd, POr)):
         return 1 + max(_superficial_depth(p.lhs), _superficial_depth(p.rhs))
     return 0
@@ -708,71 +689,71 @@ class _Parser:
 
     # precedence: ~  >  U,R  >  &  >  |  >  ->
 
-    def parse_implication(self) -> PathFormula:
+    def parse_implication(self) -> Formula:
         lhs = self.parse_or()
         if self.peek().kind == "arrow":
             tok = self.take()
             self.descend(tok)
             rhs = self.parse_implication()
             self.depth -= 1
-            if not isinstance(lhs, St) or not isinstance(rhs, St):
+            if isinstance(lhs, PathFormula) or isinstance(rhs, PathFormula):
                 raise self.error("'->' connects state formulas, not path formulas", tok)
-            return st(implies(lhs.state, rhs.state))
+            return implies(lhs, rhs)
         return lhs
 
-    def parse_or(self) -> PathFormula:
+    def parse_or(self) -> Formula:
         node = self.parse_and()
         while self.peek().kind == "pipe":
             self.take()
             node = por(node, self.parse_and())
         return node
 
-    def parse_and(self) -> PathFormula:
+    def parse_and(self) -> Formula:
         node = self.parse_until()
         while self.peek().kind == "amp":
             self.take()
             node = pand(node, self.parse_until())
         return node
 
-    def parse_until(self) -> PathFormula:
+    def parse_until(self) -> Formula:
         node = self.parse_unary()
         kind = self.peek().kind
         if kind in ("U", "R"):
             tok = self.take()
             rhs = self.parse_unary()
-            if not isinstance(node, St) or not isinstance(rhs, St):
+            if isinstance(node, PathFormula) or isinstance(rhs, PathFormula):
                 raise self.error(
                     f"temporal operator '{tok.text}' needs state-formula operands"
                     " -- nested temporal operators are not in the logic",
                     tok,
                 )
             mk = until if kind == "U" else release
-            return mk(node.state, rhs.state)
+            return mk(node, rhs)
         return node
 
-    def parse_unary(self) -> PathFormula:
+    def parse_unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "tilde":
             self.take()
             self.descend(tok)
             sub = self.parse_unary()
             self.depth -= 1
-            if not isinstance(sub, St):
+            if isinstance(sub, PathFormula):
                 raise self.error("'~' negates state formulas, not path formulas", tok)
-            return st(lnot(sub.state))
+            return lnot(sub)
         if tok.kind in ("X", "G", "F"):
             self.take()
             self.descend(tok)
             sub = self.parse_unary()
             self.depth -= 1
-            if not isinstance(sub, St):
+            if isinstance(sub, PathFormula):
                 raise self.error(
                     f"temporal operator '{tok.text}' applies to a state formula"
                     " -- nested temporal operators are not in the logic",
                     tok,
                 )
             mk = {"X": pnext, "G": always, "F": sometime}[tok.kind]
-            return mk(sub.state)
+            return mk(sub)
         if tok.kind in ("enfopen", "unavopen"):
             self.take()
             agents = self._parse_agents()
@@ -782,7 +763,7 @@ class _Parser:
             path = self.parse_until()
             self.depth -= 1
             mk = enf if tok.kind == "enfopen" else unav
-            return st(mk(agents, path))
+            return mk(agents, path)
         if tok.kind == "lparen":
             self.take()
             self.descend(tok)
@@ -792,13 +773,13 @@ class _Parser:
             return node
         if tok.kind == "true":
             self.take()
-            return ST_TRUE
+            return TRUE
         if tok.kind == "false":
             self.take()
-            return ST_FALSE
+            return FALSE
         if tok.kind == "ident":
             self.take()
-            return st(lit(tok.text))
+            return lit(tok.text)
         raise self.error(
             "expected a formula" if tok.kind == "eof" else f"unexpected {tok.text!r}", tok
         )
@@ -823,13 +804,13 @@ def parse(text: str) -> StateFormula:
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.error(f"unexpected trailing {tok.text!r}", tok)
-    if not isinstance(node, St):
+    if isinstance(node, PathFormula):
         raise parser.error(
             "input must be a state formula -- a bare path formula like this one"
             " is only meaningful under a strategic quantifier",
             first,
         )
-    return node.state
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +861,7 @@ def _print_state(f: StateFormula, parent: int, guard: bool = False) -> str:
     raise FormulaError(f"not a printable state formula: {f!r}")
 
 
-def _print_quant_operand(p: PathFormula) -> str:
+def _print_quant_operand(p: Formula) -> str:
     # A quantifier binds one unary/Until-level path expression; anything
     # looser (path-level & or |) needs explicit parentheses.
     if isinstance(p, (PAnd, POr)):
@@ -888,9 +869,9 @@ def _print_quant_operand(p: PathFormula) -> str:
     return _print_path(p, _PREC_UNARY)
 
 
-def _print_path(p: PathFormula, parent: int) -> str:
-    if isinstance(p, St):
-        return _print_state(p.state, parent)
+def _print_path(p: Formula, parent: int) -> str:
+    if isinstance(p, StateFormula):
+        return _print_state(p, parent)
     if isinstance(p, Next):
         return "X " + _print_state(p.state, _PREC_UNARY)
     if isinstance(p, Always):
@@ -930,8 +911,10 @@ def iter_state_subformulas(f: StateFormula) -> Iterator[StateFormula]:
         yield from _iter_path_states(f.path)
 
 
-def _iter_path_states(p: PathFormula) -> Iterator[StateFormula]:
-    if isinstance(p, (St, Next, Always, Sometime)):
+def _iter_path_states(p: Formula) -> Iterator[StateFormula]:
+    if isinstance(p, StateFormula):
+        yield from iter_state_subformulas(p)
+    elif isinstance(p, (Next, Always, Sometime)):
         yield from iter_state_subformulas(p.state)
     elif isinstance(p, (Until, Release)):
         yield from iter_state_subformulas(p.lhs)

@@ -13,10 +13,11 @@ and states with one step set share one read-only ``successors`` list.
 Each state stores its move vectors grouped into cells, one per set of
 successor formulas the vectors commit to; a move leads to the states of
 its cell's target prestate.  These cells are the only record of a state's
-moves: elimination, synthesis and the DOT export all read them.  Elimination repeatedly removes states that
-either lost all successors for some cell or contain a quantified path
-formula whose eventualities can no longer be realized.  The input is
-satisfiable exactly when a state containing it survives.
+moves: elimination, synthesis and the DOT export all read them.
+Elimination repeatedly removes states that either lost all successors for
+some cell or contain a quantified path formula whose eventualities can no
+longer be realized.  The input is satisfiable exactly when a state
+containing it survives.
 """
 
 from __future__ import annotations

@@ -24,8 +24,6 @@ from atlplus.randgen import GenConfig, random_corpus
 from atlplus.tableau import build_pretableau
 from atlplus.syntax import (
     FALSE,
-    ST_FALSE,
-    ST_TRUE,
     TRUE,
     And,
     FormulaClass,
@@ -33,7 +31,7 @@ from atlplus.syntax import (
     Or,
     PAnd,
     POr,
-    St,
+    StateFormula,
     always,
     classify,
     conj,
@@ -46,7 +44,6 @@ from atlplus.syntax import (
     parse,
     pnext,
     por,
-    st,
     to_nnf,
     to_text,
     until,
@@ -70,7 +67,7 @@ def test_dec_until_golden():
     g = nnf("<<1>>(p U q | G q)", (1, 2))
     pairs = dec(g.path)
     assert len(pairs) == 4
-    assert [(x.now.key, "DONE" if x.later is ST_TRUE else x.later.key)
+    assert [(x.now.key, "DONE" if x.later is TRUE else x.later.key)
             for x in pairs] == [
         ("q", "(G q)"),
         ("p", "(p U q)"),
@@ -92,7 +89,7 @@ def test_dec_conjunction_golden():
 
 def test_dec_primitive_path_is_done():
     g = nnf("<<1>>(p U q)", (1,))
-    done = [x for x in dec(g.path) if x.later is ST_TRUE]
+    done = [x for x in dec(g.path) if x.later is TRUE]
     assert [x.now for x in done] == [Q]
 
 
@@ -103,7 +100,7 @@ def test_dec_next():
     pairs = dec(pnext(P))
     assert len(pairs) == 1
     assert pairs[0].now is TRUE
-    assert pairs[0].later.state is P
+    assert pairs[0].later is P
 
 
 def test_dec_always():
@@ -132,8 +129,18 @@ def test_dec_deduplicates_identical_conjuncts():
     g = nnf("<<>>(X (p & q) & X p)", (1,))
     pairs = dec(g.path)
     assert len(pairs) == 1
-    later = pairs[0].later
-    assert later.state is parse("p & q")
+    assert pairs[0].later is parse("p & q")
+
+
+def test_state_formulas_sit_in_path_positions_directly():
+    f = parse("<<1>>(p & X q)")
+    assert isinstance(f.path, PAnd) and f.path.rhs is P
+    assert to_text(f) == "<<1>>(X q & p)"
+    assert pand(P, Q) is conj(P, Q) and por(P, Q) is disj(P, Q)
+    s = parse("p | <<1>>G q")
+    assert dec(pnext(s))[0].later is s
+    assert dec(P) == ((P, TRUE),)
+    assert dec(until(P, Q))[1] == (Q, TRUE)
 
 
 def test_dec_cached_and_deterministic():
@@ -405,14 +412,14 @@ def _reference_canon_path(parts, node_cls, unit, absorber, mk, state_ops):
     state_atoms = []
     for part in parts:
         for atom in flatten(part):
-            if isinstance(atom, St):
-                state_atoms.append(atom.state)
+            if isinstance(atom, StateFormula):
+                state_atoms.append(atom)
             else:
                 temporal[atom] = None
     state_part = _reference_canon_state(state_atoms, *state_ops)
-    if state_part is absorber.state:
+    if state_part is absorber:
         return absorber
-    out = unit if state_part is unit.state else st(state_part)
+    out = state_part
     for p in sorted(temporal, key=lambda x: x.key):
         out = mk(out, p)
     return out
@@ -424,8 +431,8 @@ def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
     calls = {And: 0, PAnd: 0, POr: 0}
     refs = {
         conj: (And, (And, TRUE, FALSE, conj)),
-        pand: (PAnd, (PAnd, ST_TRUE, ST_FALSE, pand, (And, TRUE, FALSE, conj))),
-        por: (POr, (POr, ST_FALSE, ST_TRUE, por, (Or, FALSE, TRUE, disj))),
+        pand: (PAnd, (PAnd, TRUE, FALSE, pand, (And, TRUE, FALSE, conj))),
+        por: (POr, (POr, FALSE, TRUE, por, (Or, FALSE, TRUE, disj))),
     }
 
     def checked_state(parts):
@@ -471,11 +478,11 @@ def _reference_per_pair_path(parts, node_cls):
             start = mk(start, g)
         return start
 
-    unit, mk, inner = (ST_TRUE, pand, And) if node_cls is PAnd else (ST_FALSE, por, Or)
+    unit, mk, inner = (TRUE, pand, And) if node_cls is PAnd else (FALSE, por, Or)
     atoms = _flatten(parts, node_cls, unit)
-    states = [a.state for a in atoms if isinstance(a, St)]
-    state_part = fold(mk, unit, map(st, _flatten(states, inner, unit.state)))
-    return fold(mk, state_part, [a for a in atoms if not isinstance(a, St)])
+    states = [a for a in atoms if isinstance(a, StateFormula)]
+    state_part = fold(mk, unit, _flatten(states, inner, unit))
+    return fold(mk, state_part, [a for a in atoms if not isinstance(a, StateFormula)])
 
 
 def _reference_dec(p):
@@ -487,7 +494,7 @@ def _reference_dec(p):
         _pair([a.now, b.now], _reference_per_pair_path([a.later, b.later], cls))
         for a in left
         for b in right
-        if cls is PAnd or (a.later is not ST_TRUE and b.later is not ST_TRUE)
+        if cls is PAnd or (a.later is not TRUE and b.later is not TRUE)
     ]
     out = combined if cls is PAnd else list(left) + list(right) + combined
     return tuple(dict.fromkeys(out))
@@ -512,7 +519,7 @@ _STATES = hst.recursive(
     max_leaves=4,
 )
 _PATHS = hst.recursive(
-    hst.builds(st, _STATES)
+    _STATES
     | hst.builds(pnext, _STATES)
     | hst.builds(always, _STATES)
     | hst.builds(until, _STATES, _STATES),

@@ -195,6 +195,6 @@ def test_sample_cgm_is_seeded_and_in_bounds():
         profiles = list(
             itertools.product(*(range(c) for c in m1.action_counts[s]))
         )
-        assert sorted(p for (st, p) in m1.transitions if st == s) == sorted(
+        assert sorted(p for (src, p) in m1.transitions if src == s) == sorted(
             profiles
         )

@@ -43,7 +43,6 @@ from atlplus.syntax import (
     pand,
     parse,
     pnext,
-    st,
     to_nnf,
     to_text,
     until,
@@ -352,7 +351,7 @@ def test_kinds_outside_the_normal_form_state_fragment():
         with pytest.raises(FormulaError):
             classify(surface)
         assert not is_gamma(surface) and not is_successor_formula(surface)
-    for path in (st(p), pnext(p), always(p), until(p, q), pand(always(p), until(p, q))):
+    for path in (pnext(p), always(p), until(p, q), pand(always(p), until(p, q))):
         with pytest.raises(FormulaError):
             classify(path)
         assert not is_gamma(path) and not is_successor_formula(path)

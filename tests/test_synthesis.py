@@ -1,5 +1,7 @@
 """Model synthesis: component growth, assembly, extraction, saturation checks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -8,6 +10,7 @@ from atlplus import synthesis
 from atlplus.cgm import CGM
 from atlplus.checker import check_model
 from atlplus.decomposition import closure, gamma_components
+from atlplus.enumeration import find_bounded_model
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.synthesis import (
     HNode,
@@ -20,7 +23,28 @@ from atlplus.synthesis import (
     pending_rows,
     validate_hintikka,
 )
-from atlplus.syntax import default_universe, is_gamma, parse, to_nnf, to_text
+from atlplus.syntax import (
+    always,
+    conj,
+    default_universe,
+    disj,
+    enf,
+    implies,
+    is_gamma,
+    lit,
+    lnot,
+    mentioned_props,
+    parse,
+    pand,
+    pnext,
+    por,
+    release,
+    sometime,
+    to_nnf,
+    to_text,
+    unav,
+    until,
+)
 from atlplus.tableau import decide
 
 OPEN = "<<1>>(p U q | G q) & [[2]](F p & G ~q)"
@@ -61,9 +85,9 @@ def test_pending_rows_exclude_locally_realized(open_tableau):
 
 def test_assemble_golden_structure(open_tableau):
     _, tab = open_tableau
-    st = assemble(tab)
-    assert st.root.nid == 1
-    assert [(n.nid, n.state.index, n.row) for n in st.alive_nodes()] == [
+    hs = assemble(tab)
+    assert hs.root.nid == 1
+    assert [(n.nid, n.state.index, n.row) for n in hs.alive_nodes()] == [
         (1, 1, 0),
         (2, 4, 1),
         (3, 5, 1),
@@ -74,7 +98,7 @@ def test_assemble_golden_structure(open_tableau):
     ]
     edges = {
         n.nid: {sig: c.nid for sig, c in sorted(n.edges.items())}
-        for n in st.alive_nodes()
+        for n in hs.alive_nodes()
     }
     assert edges == {
         1: {(0, 0): 2, (0, 1): 2, (1, 0): 3, (1, 1): 3},
@@ -96,9 +120,9 @@ def test_assemble_routes_committed_profiles_to_the_best_realizer(open_tableau):
     committed, filler = move_cells(d1)
     assert [t.index for t in committed.targets] == [3, 4]
     assert [t.index for t in filler.targets] == [5, 6]
-    st = assemble(tab)
-    assert st.root.state is d1 and st.rows[st.root.row] is ev
-    children = [n for n in st.nodes if n.parent is st.root]
+    hs = assemble(tab)
+    assert hs.root.state is d1 and hs.rows[hs.root.row] is ev
+    children = [n for n in hs.nodes if n.parent is hs.root]
     # The committed profiles reach D4, where the re-quantified rest
     # <<1>>p U q has rank 0, not the older D3 where it has rank 1; the
     # other cell gets a leaf colored with its oldest target.
@@ -119,11 +143,11 @@ def test_assemble_grows_a_simple_component_without_the_rows_eventuality(
     open_tableau,
 ):
     _, tab = open_tableau
-    st = assemble(tab)
-    node = st.nodes[1]
+    hs = assemble(tab)
+    node = hs.nodes[1]
     assert node.state.index == 4 and node.row == 1
-    assert st.rows[1] not in node.state.label
-    children = [n for n in st.nodes if n.parent is node]
+    assert hs.rows[1] not in node.state.label
+    children = [n for n in hs.nodes if n.parent is node]
     assert [(c.parent_sigmas, c.state) for c in children] == [
         (cell.sigmas, cell.targets[0]) for cell in move_cells(node.state)
     ]
@@ -141,9 +165,9 @@ def test_assemble_partitions_each_state_once(monkeypatch):
     monkeypatch.setattr(synthesis, "move_cells", counted)
     raw = parse(" & ".join(f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3)))
     universe = default_universe(raw)
-    st = assemble(decide(to_nnf(raw, universe), universe).tableau)
-    n_nodes = len(st.nodes)
-    n_states = len({n.state.index for n in st.nodes})
+    hs = assemble(decide(to_nnf(raw, universe), universe).tableau)
+    n_nodes = len(hs.nodes)
+    n_states = len({n.state.index for n in hs.nodes})
     n_calls = len(calls)
     assert n_calls == n_states == 25 < n_nodes
 
@@ -189,15 +213,15 @@ def test_assemble_handles_deferred_obligations_at_dead_ends():
         3: [],
         4: [],
     }
-    st = assemble(tab)
-    assert [(n.nid, n.state.index, n.row) for n in st.alive_nodes()] == [
+    hs = assemble(tab)
+    assert [(n.nid, n.state.index, n.row) for n in hs.alive_nodes()] == [
         (1, 1, 0),
         (2, 2, 1),
         (3, 2, 0),
         (4, 3, 1),
         (5, 4, 0),
     ]
-    m = extract_cgm(st)
+    m = extract_cgm(hs)
     assert [",".join(sorted(p)) for p in m.props] == ["", "q,r", "q,r", "p,q", "q"]
     assert dict(sorted(m.transitions.items())) == {
         (0, (0,)): 1,
@@ -677,3 +701,61 @@ def test_unsorted_universe_maps_agents_in_sorted_order(text):
         assert check_model(m, f, universe).holds
         models.append(m.to_json())
     assert models[0] == models[1]
+
+
+def _mixed_state(rng, depth):
+    """A raw state formula over p and q; quantified objectives mix bare state
+    formulas with temporal atoms, and surface connectives occur throughout."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return lit(rng.choice("pq"), rng.random() < 0.6)
+    if roll < 0.4:
+        return lnot(_mixed_state(rng, depth - 1))
+    if roll < 0.55:
+        mk = rng.choice([conj, disj, implies])
+        return mk(_mixed_state(rng, depth - 1), _mixed_state(rng, depth - 1))
+    quant = rng.choice([enf, unav])
+    return quant(rng.choice([(), (1,), (2,), (1, 2)]), _mixed_path(rng, depth - 1))
+
+
+def _mixed_path(rng, depth):
+    def state():
+        return _mixed_state(rng, min(depth, 1))
+
+    def temporal():
+        kind = rng.choice("XGFUR")
+        if kind in "UR":
+            return (until if kind == "U" else release)(state(), state())
+        return {"X": pnext, "G": always, "F": sometime}[kind](state())
+
+    parts = [state(), temporal()] + [rng.choice([state, temporal])()]
+    out = parts[0]
+    for part in rng.sample(parts[1:], rng.randint(1, 2)):
+        out = rng.choice([pand, por])(out, part)
+    return out
+
+
+def test_mixed_path_objectives_are_certified():
+    # Objectives such as <<1>>(p & X q): a state formula in a path position
+    # next to temporal atoms, which the random corpus never generates.
+    rng = random.Random(17)
+    universe = (1, 2)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        quant = rng.choice([enf, unav])
+        raw = quant(rng.choice([(1,), (2,), (1, 2)]), _mixed_path(rng, 2))
+        if rng.random() < 0.3:
+            raw = rng.choice([conj, disj])(raw, _mixed_state(rng, 2))
+        f = to_nnf(raw, universe)
+        d = decide(f, universe)
+        verdicts[d.sat] += 1
+        if d.sat:
+            m = extract_cgm(assemble(d.tableau))
+            assert validate_hintikka(m, universe) == [], to_text(raw)
+            assert check_model(m, f, universe).holds, to_text(raw)
+            assert check_model(m, raw, universe).holds, to_text(raw)
+        else:
+            props = tuple(sorted(mentioned_props(f)))
+            found = find_bounded_model(f, universe, props, max_states=2)
+            assert found is None, to_text(raw)
+    assert min(verdicts.values()) >= 20, verdicts
