@@ -157,10 +157,19 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.model, "r", encoding="utf-8") as handle:
         model = CGM.from_json(handle.read())
+    raw = None if args.formula is None else parse(_read_formula_arg(args.formula))
+    # synth gives action positions to its agents in sorted order, whatever
+    # their names: the k agents that the annotations and the formula name
+    # are the model's, and 1..k stand in when they name another number.
+    named = set() if raw is None else set(mentioned_agents(raw))
+    for text in set().union(*(model.hintikka or {}).values()):
+        named |= mentioned_agents(parse(text))
+    k = model.agents
+    universe = tuple(sorted(named)) if len(named) == k else tuple(range(1, k + 1))
     print(f"model: {model.n_states} states, {model.agents} agents")
     failed = False
     if model.hintikka is not None:
-        violations = validate_hintikka(model)
+        violations = validate_hintikka(model, universe)
         if violations:
             failed = True
             for violation in violations:
@@ -169,9 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("hintikka: pass (H1-H6)")
     else:
         print("hintikka: no annotations; structural checks skipped")
-    if args.formula is not None:
-        raw = parse(_read_formula_arg(args.formula))
-        universe = tuple(range(1, model.agents + 1))
+    if raw is not None:
         extra = sorted(set(mentioned_agents(raw)) - set(universe))
         if extra:
             raise CheckError(

@@ -900,25 +900,20 @@ def _print_path(p: Formula, parent: int) -> str:
 
 
 def iter_state_subformulas(f: StateFormula) -> Iterator[StateFormula]:
-    """Yield ``f`` and every state formula nested anywhere inside it."""
-    yield f
-    if isinstance(f, (And, Or, Implies)):
-        yield from iter_state_subformulas(f.lhs)
-        yield from iter_state_subformulas(f.rhs)
-    elif isinstance(f, Not):
-        yield from iter_state_subformulas(f.sub)
-    elif isinstance(f, (Enf, Unav)):
-        yield from _iter_path_states(f.path)
-
-
-def _iter_path_states(p: Formula) -> Iterator[StateFormula]:
-    if isinstance(p, StateFormula):
-        yield from iter_state_subformulas(p)
-    elif isinstance(p, (Next, Always, Sometime)):
-        yield from iter_state_subformulas(p.state)
-    elif isinstance(p, (Until, Release)):
-        yield from iter_state_subformulas(p.lhs)
-        yield from iter_state_subformulas(p.rhs)
-    elif isinstance(p, (PAnd, POr)):
-        yield from _iter_path_states(p.lhs)
-        yield from _iter_path_states(p.rhs)
+    """Yield ``f`` and every state formula nested anywhere inside it, in
+    pre-order; an explicit stack keeps deep nesting off the call stack."""
+    stack: list[Formula] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, StateFormula):
+            yield g
+            if isinstance(g, (Enf, Unav)):
+                stack.append(g.path)
+            elif isinstance(g, Not):
+                stack.append(g.sub)
+            elif isinstance(g, (And, Or, Implies)):
+                stack += (g.rhs, g.lhs)
+        elif isinstance(g, (Next, Always, Sometime)):
+            stack.append(g.state)
+        elif isinstance(g, (Until, Release, PAnd, POr)):
+            stack += (g.rhs, g.lhs)

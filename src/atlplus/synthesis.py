@@ -1,18 +1,18 @@
 """Model synthesis from an open final tableau.
 
-Surviving tableau states are grown into components, one child per group of
-action profiles sharing a successor-state set, built directly into a finite
-deterministic structure that realizes every eventuality; the structure is
-then projected to a concurrent game model.  Each state's groups are read
-off its tableau cells once per synthesis call.  A realizing component follows
-the realization ranks elimination stored on the tableau: profiles committed
-to an eventuality's linked step lead to a successor of minimal rank, every
-other profile group to a leaf.  Each (eventuality row, state) pair gets at
-most one component: a later dead end of that state in that row links to it
-instead of growing a copy.  Dead ends left after the row pass are closed
-off in one forward pass in node order.  The saturated formula labels travel
-along as annotations so the result can be re-validated independently of
-the tableau that produced it.
+Surviving tableau states are grown into components, one child per move cell
+(tableau cells sharing a successor-state set), built directly into a finite
+deterministic structure that realizes every eventuality; the structure is then
+projected to a concurrent game model, the only step that lists action
+profiles.  Each state's move cells are read off its tableau cells once per
+synthesis call.  A realizing component follows the realization ranks
+elimination stored on the tableau: a move cell committed to an eventuality's
+linked step leads to a successor of minimal rank, every other move cell to a
+leaf.  Each (eventuality row, state) pair gets at most one component: a later
+dead end of that state in that row links to it instead of growing a copy.
+Dead ends left after the row pass are closed off in one forward pass in node
+order.  The saturated formula labels travel along as annotations so the result
+can be re-validated independently of the tableau that produced it.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .syntax import (
     to_nnf,
     to_text,
 )
-from .tableau import Tableau, TState, _unconditional_step
+from .tableau import Cell, Tableau, TState, _unconditional_step
 
 
 class SynthesisError(Exception):
@@ -52,15 +52,15 @@ class SynthesisError(Exception):
 
 @dataclass(frozen=True)
 class MoveCell:
-    """A block of action profiles that lead to the same set of live states.
+    """The tableau cells of a state that lead to the same set of live states.
 
-    It merges the tableau cells of a state whose target prestates keep the
+    ``cells`` are the merged tableau cells, whose target prestates keep the
     same surviving states; ``steps`` is the union of their ``Cell.steps``.
     Each tableau cell falls wholly inside one block, so a profile commits
     to a step exactly when its block's ``steps`` holds that step.
     """
 
-    sigmas: tuple[tuple[int, ...], ...]
+    cells: tuple[Cell, ...]
     targets: tuple[TState, ...]
     steps: frozenset[StateFormula]
 
@@ -68,9 +68,9 @@ class MoveCell:
 def move_cells(state: TState) -> list[MoveCell]:
     """Partition the action box of ``state`` by surviving successor-state set.
 
-    Cells appear in order of their lexicographically first profile and list
-    their profiles in lexicographic order; the targets of each cell are
-    listed in creation order.
+    Blocks appear in order of their first tableau cell and list their
+    tableau cells in the state's order; the targets of each block are
+    listed in creation order.  No action profile is read.
     """
     blocks: dict[frozenset[int], tuple[tuple[TState, ...], list, set]] = {}
     for cell in state.successors:
@@ -80,12 +80,12 @@ def move_cells(state: TState) -> list[MoveCell]:
                 f"{state.name} has a move with no surviving successor"
             )
         key = frozenset(t.index for t in targets)
-        _, sigmas, steps = blocks.setdefault(key, (targets, [], set()))
-        sigmas.extend(cell.sigmas)
+        _, cells, steps = blocks.setdefault(key, (targets, [], set()))
+        cells.append(cell)
         steps.update(cell.steps)
     return [
-        MoveCell(tuple(sorted(sigmas)), targets, frozenset(steps))
-        for targets, sigmas, steps in blocks.values()
+        MoveCell(tuple(cells), targets, frozenset(steps))
+        for targets, cells, steps in blocks.values()
     ]
 
 
@@ -95,18 +95,20 @@ def move_cells(state: TState) -> list[MoveCell]:
 
 @dataclass
 class HNode:
-    """Occurrence of a tableau state inside the assembled structure."""
+    """Occurrence of a tableau state inside the assembled structure: one child
+    per move cell of the state, in ``move_cells`` order; ``slot`` is the
+    node's index among its parent's children."""
 
     nid: int
     state: TState
-    edges: dict[tuple[int, ...], "HNode"] = field(default_factory=dict, repr=False)
-    parent: "HNode | None" = field(default=None, repr=False)
-    parent_sigmas: tuple[tuple[int, ...], ...] = ()
+    children: list[HNode] = field(default_factory=list, repr=False)
+    parent: HNode | None = field(default=None, repr=False)
+    slot: int = 0
     alive: bool = True
     row: int = 0
 
     def is_dead_end(self) -> bool:
-        return not self.edges
+        return not self.children
 
 
 @dataclass
@@ -117,6 +119,7 @@ class HintikkaStructure:
     rows: list[StateFormula]
     nodes: list[HNode]
     root: HNode
+    partitions: dict[int, list[MoveCell]]  # state index -> its move cells
 
     def alive_nodes(self) -> list[HNode]:
         return [n for n in self.nodes if n.alive]
@@ -212,7 +215,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
             if rank:
                 component = state.linked[ev]
                 step, next_ev = component.step, component.next_ev
-        for cell in cells(state):
+        for slot, cell in enumerate(cells(state)):
             target = cell.targets[0]
             realizing = step in cell.steps
             if realizing:
@@ -221,11 +224,8 @@ def assemble(tab: Tableau) -> HintikkaStructure:
                     raise SynthesisError(f"no successor realizes {next_ev!r}")
                 target = min(ranked, key=lambda t: (ranks[(t.index, next_ev)], t.index))
             child = new_node(target)
-            child.parent = node
-            child.parent_sigmas = cell.sigmas
-            child.row = node.row
-            for sigma in cell.sigmas:
-                node.edges[sigma] = child
+            child.parent, child.slot, child.row = node, slot, node.row
+            node.children.append(child)
             if realizing and ranks[(target.index, next_ev)]:
                 grow(child, next_ev)
 
@@ -234,8 +234,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         present = component_roots.setdefault(node.state.index, {})
         match = present.get(row_index)
         if match is not None:
-            for sigma in node.parent_sigmas:
-                node.parent.edges[sigma] = match
+            node.parent.children[node.slot] = match
             node.alive = False
             return
         present[row_index] = node
@@ -250,7 +249,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         for node in [n for n in nodes if n.alive and n.is_dead_end()]:
             graft(node, row_index)
 
-    # Edges are never removed, dead nodes never revive and grafting only
+    # Children are never removed, dead nodes never revive and grafting only
     # appends, so the node reached here is always the oldest open dead end.
     for node in nodes:
         if not node.alive or not node.is_dead_end():
@@ -265,18 +264,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
             row_index = (node.row + 1) % n_rows if n_rows else 0
         graft(node, row_index)
 
-    structure = HintikkaStructure(tab, rows, nodes, root)
-    boxes = {
-        index: {sigma for cell in found for sigma in cell.sigmas}
-        for index, found in partitions.items()
-    }
-    for node in structure.alive_nodes():
-        if node.edges.keys() != boxes.get(node.state.index):
-            raise SynthesisError(
-                f"node {node.nid} does not cover the action box of"
-                f" {node.state.name}"
-            )
-    return structure
+    return HintikkaStructure(tab, rows, nodes, root, partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +278,7 @@ def extract_cgm(structure: HintikkaStructure) -> CGM:
     and the unconditional successor step alone) is decorated with every
     proposition of the input so the decoration is visible in exported models;
     no formula constrains that state, and the certifying oracle re-checks the
-    result.
+    result.  A node's i-th child takes every profile of its i-th move cell.
     """
     tab = structure.tableau
     alive = structure.alive_nodes()
@@ -317,8 +305,16 @@ def extract_cgm(structure: HintikkaStructure) -> CGM:
             )
         fanout = len(node.state.enf_steps) + len(node.state.unav_steps)
         action_counts.append((fanout,) * k)
-        for sigma, child in node.edges.items():
-            transitions[(i, sigma)] = index[child.nid]
+        found = structure.partitions.get(node.state.index, ())
+        if not found or len(found) != len(node.children):
+            raise SynthesisError(
+                f"node {node.nid} does not cover the action box of {node.state.name}"
+            )
+        for move, child in zip(found, node.children):
+            target = index[child.nid]
+            for cell in move.cells:
+                for sigma in cell.sigmas:
+                    transitions[(i, sigma)] = target
         entry = []
         for f in sorted(label):
             text = texts.get(f)

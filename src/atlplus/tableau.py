@@ -66,11 +66,11 @@ class Cell:
 
     ``steps`` is the set of the state's successor formulas the vectors
     commit to, and ``target`` the prestate of their payloads.  Distinct
-    step sets may share a target.  A synthesis ``MoveCell`` is coarser:
-    it merges cells whose targets have the same surviving states, and
-    carries the union of their ``steps``.
-    ``sigmas`` is shared by the states of one coalition signature, and the
-    cell itself by the states of one step set: both are read-only.
+    step sets may share a target.  A synthesis ``MoveCell`` holds the cells
+    whose targets have the same surviving states; synthesis reads ``sigmas``
+    only where it writes the model.  ``sigmas`` is shared by the states of
+    one coalition signature, and the cell itself by the states of one step
+    set: both are read-only.
     """
 
     target: Prestate = field(repr=False)

@@ -424,6 +424,42 @@ def test_verify_rejects_formulas_with_too_many_agents(model_file, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("with_formula", [False, True], ids=["alone", "formula"])
+def test_verify_names_a_models_agents_after_its_annotations(
+    tmp_path, capsys, with_formula
+):
+    # synth plays agent 2 of this one-agent input at action position 0, so
+    # verify must read the model's one agent as agent 2, not as agent 1.
+    text = "<<2>>X p & [[2]]G q"
+    path = tmp_path / "model.json"
+    assert run_cli("synth", text, "--json-model", str(path)) == 0
+    capsys.readouterr()
+    code = run_cli("verify", str(path), *([text] if with_formula else []))
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "hintikka: pass (H1-H6)" in out
+    assert not with_formula or "holds at state 0 (agents [2])" in out
+
+
+def test_verify_accepts_every_synthesized_model(tmp_path, capsys):
+    # Agent subsets such as {2} or {1, 3} are common in the random corpus.
+    path = tmp_path / "model.json"
+    sat = 0
+    for raw in random_corpus(8, 400, GenConfig(agents=(1, 2, 3))):
+        text = to_text(raw)
+        code = run_cli("synth", text, "--json-model", str(path))
+        assert code in (0, 1), text
+        if code == 1:
+            continue
+        assert run_cli("verify", str(path)) == 0, text
+        assert run_cli("verify", str(path), text) == 0, text
+        sat += 1
+        if sat == 100:
+            break
+    capsys.readouterr()
+    assert sat == 100
+
+
 def test_verify_rejects_malformed_model_files(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"agents": 1}', encoding="utf-8")

@@ -21,6 +21,7 @@ from atlplus.syntax import (
     Or,
     ParseError,
     PAnd,
+    StateFormula,
     TrueConst,
     Unav,
     Until,
@@ -36,6 +37,7 @@ from atlplus.syntax import (
     is_gamma,
     is_nnf,
     is_successor_formula,
+    iter_state_subformulas,
     lit,
     lnot,
     mentioned_agents,
@@ -241,8 +243,6 @@ def test_nnf_proper_coalitions_after_rewrite():
 
 
 def _walk_unav(f):
-    from atlplus.syntax import iter_state_subformulas
-
     return [g for g in iter_state_subformulas(f) if isinstance(g, Unav)]
 
 
@@ -269,6 +269,35 @@ def test_default_universe_is_mentioned_agents_at_least_one():
     assert default_universe(parse("<<2,5>>X p")) == (2, 5)
     assert default_universe(parse("p & q")) == (1,)
     assert default_universe(parse("<<>>X p")) == (1,)
+
+
+def _recursive_state_subformulas(g, out):
+    """Pre-order by recursion: the walk ``iter_state_subformulas`` must match."""
+    if isinstance(g, StateFormula):
+        out.append(g)
+    for name in ("sub", "path", "state", "lhs", "rhs"):
+        if hasattr(g, name):
+            _recursive_state_subformulas(getattr(g, name), out)
+    return out
+
+
+def test_iter_state_subformulas_yields_the_recursive_pre_order():
+    texts = ["<<1>>(p & X q) & [[2]](G q | p)", "~(p -> <<1,2>>(p R ~q & F p))"]
+    corpus = [parse(t) for t in texts] + random_corpus(3, 300)
+    corpus += [to_nnf(f, default_universe(f)) for f in corpus]
+    for f in corpus:
+        expected = _recursive_state_subformulas(f, [])
+        assert list(iter_state_subformulas(f)) == expected, to_text(f)
+
+
+def test_mention_helpers_walk_long_flat_chains():
+    # An explicit stack: 2,000 conjuncts do not reach the recursion limit.
+    f = parse(" & ".join(f"p{i}" for i in range(2000)))
+    assert default_universe(f) == (1,)
+    assert len(mentioned_props(f)) == 2000
+    g = parse(" & ".join(f"<<{i % 3 + 1}>>(q U p{i})" for i in range(2000)))
+    assert default_universe(g) == (1, 2, 3)
+    assert mentioned_props(g) == {"q"} | {f"p{i}" for i in range(2000)}
 
 
 # ---------------------------------------------------------------------------

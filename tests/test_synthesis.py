@@ -83,6 +83,20 @@ def test_pending_rows_exclude_locally_realized(open_tableau):
 # Assembly
 
 
+def _profiles(move):
+    """Every action profile of a move cell, in lexicographic order."""
+    return tuple(sorted(sigma for cell in move.cells for sigma in cell.sigmas))
+
+
+def _profile_map(hs, node):
+    """Action profile -> child of ``node``, read off its move cells."""
+    return {
+        sigma: child
+        for move, child in zip(hs.partitions[node.state.index], node.children)
+        for sigma in _profiles(move)
+    }
+
+
 def test_assemble_golden_structure(open_tableau):
     _, tab = open_tableau
     hs = assemble(tab)
@@ -97,7 +111,7 @@ def test_assemble_golden_structure(open_tableau):
         (7, 7, 3),
     ]
     edges = {
-        n.nid: {sig: c.nid for sig, c in sorted(n.edges.items())}
+        n.nid: {sig: c.nid for sig, c in sorted(_profile_map(hs, n).items())}
         for n in hs.alive_nodes()
     }
     assert edges == {
@@ -123,12 +137,15 @@ def test_assemble_routes_committed_profiles_to_the_best_realizer(open_tableau):
     hs = assemble(tab)
     assert hs.root.state is d1 and hs.rows[hs.root.row] is ev
     children = [n for n in hs.nodes if n.parent is hs.root]
+    assert hs.root.children == children
     # The committed profiles reach D4, where the re-quantified rest
     # <<1>>p U q has rank 0, not the older D3 where it has rank 1; the
     # other cell gets a leaf colored with its oldest target.
-    assert [(c.nid, c.parent_sigmas, c.state.index) for c in children] == [
-        (2, ((0, 0), (0, 1)), 4),
-        (3, ((1, 0), (1, 1)), 5),
+    cells = [committed, filler]
+    got = [(c.nid, c.slot, _profiles(cells[c.slot]), c.state.index) for c in children]
+    assert got == [
+        (2, 0, ((0, 0), (0, 1)), 4),
+        (3, 1, ((1, 0), (1, 1)), 5),
     ]
     next_ev = d1.linked[ev].next_ev
     assert to_text(next_ev) == "<<1>>p U q"
@@ -148,8 +165,8 @@ def test_assemble_grows_a_simple_component_without_the_rows_eventuality(
     assert node.state.index == 4 and node.row == 1
     assert hs.rows[1] not in node.state.label
     children = [n for n in hs.nodes if n.parent is node]
-    assert [(c.parent_sigmas, c.state) for c in children] == [
-        (cell.sigmas, cell.targets[0]) for cell in move_cells(node.state)
+    assert [(c.slot, c.state) for c in children] == [
+        (slot, cell.targets[0]) for slot, cell in enumerate(move_cells(node.state))
     ]
 
 
@@ -319,12 +336,12 @@ def _complete(tree):
     by_sigma = {sigma: child for sigmas, child in children for sigma in sigmas}
     completed = []
     for cell in move_cells(state):
-        child = next((by_sigma[s] for s in cell.sigmas if s in by_sigma), None)
+        child = next((by_sigma[s] for s in _profiles(cell) if s in by_sigma), None)
         if child is None:
             child = (cell.targets[0], [])
         elif child[1]:
             child = _complete(child)
-        completed.append((cell.sigmas, child))
+        completed.append((_profiles(cell), child))
     return state, completed
 
 
@@ -341,21 +358,20 @@ def _tree_based_assemble(tab):
         return nodes[-1]
 
     def graft_children(node, tree, row_index):
-        for sigmas, subtree in tree[1]:
+        # The completed tree lists one subtree per move cell, in order.
+        for slot, (_, subtree) in enumerate(tree[1]):
             child = new_node(subtree[0])
             child.parent = node
-            child.parent_sigmas = sigmas
+            child.slot = slot
             child.row = row_index
-            for sigma in sigmas:
-                node.edges[sigma] = child
+            node.children.append(child)
             graft_children(child, subtree, row_index)
 
     def graft(node, row_index):
         # One component per (row, state): a later dead end links to it.
         present = component_roots.setdefault(node.state.index, {})
         if row_index in present:
-            for sigma in node.parent_sigmas:
-                node.parent.edges[sigma] = present[row_index]
+            node.parent.children[node.slot] = present[row_index]
             node.alive = False
             return
         present[row_index] = node
@@ -395,8 +411,8 @@ def _node_fields(nodes):
             n.row,
             n.alive,
             n.parent.nid if n.parent else None,
-            n.parent_sigmas,
-            [(sigma, child.nid) for sigma, child in n.edges.items()],
+            n.slot,
+            [child.nid for child in n.children],
         )
         for n in nodes
     ]
@@ -428,6 +444,37 @@ def test_assemble_matches_the_tree_based_reference():
 
 # ---------------------------------------------------------------------------
 # Extraction
+
+
+def test_extract_cgm_gives_a_merged_move_cell_every_profile_of_its_cells():
+    # At the root of <<1>>G <<2>>G p, the tableau cells of (0, 0) and (0, 1)
+    # commit to different steps but reach the same live state, so one move
+    # cell holds both: its one child must receive both profiles.
+    raw = parse("<<1>>G <<2>>G p")
+    universe = default_universe(raw)
+    f = to_nnf(raw, universe)
+    hs = assemble(decide(f, universe).tableau)
+    root = hs.root
+    merged = hs.partitions[root.state.index][0]
+    assert [cell.sigmas for cell in merged.cells] == [((0, 0),), ((0, 1),)]
+    assert merged.cells[0].steps != merged.cells[1].steps
+    m = extract_cgm(hs)
+    index = {n.nid: i for i, n in enumerate(hs.alive_nodes())}
+    child = index[root.children[0].nid]
+    assert m.transitions[(index[root.nid], (0, 0))] == child
+    assert m.transitions[(index[root.nid], (0, 1))] == child
+    assert validate_hintikka(m, universe) == []
+    assert check_model(m, f, universe).holds
+
+
+def test_extract_cgm_refuses_a_node_missing_a_child(open_tableau):
+    # A node with fewer children than move cells would drop the profiles of
+    # the last cells from the model: a program fault, not a malformed file.
+    _, tab = open_tableau
+    hs = assemble(tab)
+    hs.root.children.pop()
+    with pytest.raises(SynthesisError, match="node 1 does not cover the action box of D1"):
+        extract_cgm(hs)
 
 
 def test_extract_cgm_golden(open_tableau):
