@@ -163,10 +163,20 @@ class ModelChecker:
             out = holding if f.positive else self.all_states - holding
         elif isinstance(f, Not):
             out = self.all_states - self._eval(f.sub, memo)
-        elif isinstance(f, And):
-            out = self._eval(f.lhs, memo) & self._eval(f.rhs, memo)
-        elif isinstance(f, Or):
-            out = self._eval(f.lhs, memo) | self._eval(f.rhs, memo)
+        elif isinstance(f, (And, Or)):
+            # Down the left spine of a chain of one connective to its first
+            # node not yet evaluated, then back up, memoizing every node.
+            t = type(f)
+            spine = [f]
+            g = f.lhs
+            while type(g) is t and g not in memo:
+                spine.append(g)
+                g = g.lhs
+            out = self._eval(g, memo)
+            for node in reversed(spine):
+                rhs = self._eval(node.rhs, memo)
+                out = out & rhs if t is And else out | rhs
+                memo[node] = out
         elif isinstance(f, Implies):
             out = (self.all_states - self._eval(f.lhs, memo)) | self._eval(
                 f.rhs, memo

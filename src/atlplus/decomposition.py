@@ -41,7 +41,6 @@ from .syntax import (
     StateFormula,
     Until,
     conj,
-    is_gamma,
     pand,
     pnext,
     por,
@@ -249,7 +248,7 @@ def gamma_components(f: StateFormula) -> tuple[GammaComponent, ...]:
     cached = _GAMMA_CACHE.get(f)
     if cached is not None:
         return cached
-    if not is_gamma(f):
+    if f.kind is not GAMMA:
         raise FormulaError(f"not a gamma formula: {f!r}")
     components = []
     for now, later in dec(f.path):
@@ -270,15 +269,23 @@ def holds_locally(g: StateFormula, label: frozenset[StateFormula]) -> bool:
     Membership is tested modulo conjunction/disjunction shape: labels store
     the flattened canonical form of composite now-parts, so a nested
     conjunction whose conjuncts are all present counts as present even when
-    the exact node is not."""
+    the exact node is not.  A chain of one connective is read down its left
+    spine, testing membership at every spine node: a conjunction fails at
+    its first right operand that fails, a disjunction holds at its first
+    right operand that holds."""
     if g is TRUE or g in label:
         return True
     kind = g.kind
-    if kind is ALPHA:
-        return holds_locally(g.lhs, label) and holds_locally(g.rhs, label)
-    if kind is BETA:
-        return holds_locally(g.lhs, label) or holds_locally(g.rhs, label)
-    return False
+    if kind is not ALPHA and kind is not BETA:
+        return False
+    conjunctive = kind is ALPHA
+    while holds_locally(g.rhs, label) is conjunctive:
+        g = g.lhs
+        if g.kind is not kind:
+            return holds_locally(g, label)
+        if g in label:
+            return True
+    return not conjunctive
 
 
 def realized_now(p: Formula, label: frozenset[StateFormula]) -> bool:

@@ -16,7 +16,12 @@ enforceability.  Everything downstream operates on the normal-form core.
 
 Formulas are hash-consed: building the same shape twice returns the same
 object, so equality is identity and formula sets are cheap.  Each formula
-carries a canonical ``key`` string that serves as a stable total order.
+carries a canonical ``key`` string that serves as a stable total order, and
+each state formula of the normal form its tableau class as ``kind``.  One
+rule builds every binary Boolean join, and one explicit-stack walk,
+:func:`iter_subformulas`, visits every node for the helpers that read a
+whole formula.  The walkers that recurse loop instead down the left spine
+of a long ``&``/``|`` chain, which the parser builds flat.
 The one intern table, which holds every node, is this module's only
 shared mutable state (guarded by the GIL); all operations are otherwise
 pure functions of their inputs.  Other modules keep process-wide caches
@@ -50,11 +55,11 @@ class ParseError(FormulaError):
 
 
 class FormulaClass(Enum):
-    """The tableau class of a normal-form state formula (see :func:`classify`).
+    """The tableau class of a normal-form state formula, read as its ``kind``.
 
-    ``SUCCESSOR`` is only ever a formula's ``kind``: it tells the
-    single-step quantified formulas apart from the other primitives, and
-    :func:`classify` reports it as ``PRIMITIVE``.
+    ``SUCCESSOR`` marks the single-step quantified formulas ``<<A>>X p`` and
+    ``[[A]]X p``, which the next-state rule handles; ``GAMMA`` marks every
+    other quantified formula.
     """
 
     PRIMITIVE = "primitive"
@@ -226,35 +231,6 @@ def lit(name: str, positive: bool = True) -> Lit:
     return node
 
 
-def conj(a: StateFormula, b: StateFormula) -> StateFormula:
-    """Binary conjunction with unit/absorber folding and sorted operands."""
-    if a is TRUE:
-        return b
-    if b is TRUE:
-        return a
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is b:
-        return a
-    if b.key < a.key:
-        a, b = b, a
-    return _mk(And, f"({a.key} & {b.key})", a, b)
-
-
-def disj(a: StateFormula, b: StateFormula) -> StateFormula:
-    if a is FALSE:
-        return b
-    if b is FALSE:
-        return a
-    if a is TRUE or b is TRUE:
-        return TRUE
-    if a is b:
-        return a
-    if b.key < a.key:
-        a, b = b, a
-    return _mk(Or, f"({a.key} | {b.key})", a, b)
-
-
 def lnot(a: StateFormula) -> StateFormula:
     """Surface negation; literals and constants fold immediately."""
     if a is TRUE:
@@ -307,10 +283,14 @@ def unav(agents: Iterable[int], path: Formula) -> Unav:
 
 def requantify(f: StateFormula, path: Formula) -> StateFormula:
     """``f``'s quantifier and coalition over ``path``.  ``f`` is an ``Enf``
-    or ``Unav``: its coalition is canonical already, and its key starts
-    with the quantifier prefix, which is reused as it is."""
-    prefix = f.key[: len(f.key) - len(f.path.key)]
-    return _quantified(type(f), f.coalition, prefix, path)
+    or ``Unav``: its coalition is canonical already, and its quantifier
+    prefix is reused as it is."""
+    return _quantified(type(f), f.coalition, _quantifier_prefix(f), path)
+
+
+def _quantifier_prefix(f: StateFormula) -> str:
+    """The ``<<A>>`` or ``[[A]]`` that the key of a quantifier starts with."""
+    return f.key[: len(f.key) - len(f.path.key)]
 
 
 def pnext(state: StateFormula) -> Next:
@@ -333,40 +313,50 @@ def release(lhs: StateFormula, rhs: StateFormula) -> Release:
     return _mk(Release, f"({lhs.key} R {rhs.key})", lhs, rhs)
 
 
-def pand(a: Formula, b: Formula) -> Formula:
-    """Path conjunction: the ``conj`` of two state formulas, otherwise a
-    ``PAnd`` with the same folding and operand order as ``conj``."""
-    if isinstance(a, StateFormula) and isinstance(b, StateFormula):
-        return conj(a, b)
-    if a is TRUE:
-        return b
-    if b is TRUE:
-        return a
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is b:
-        return a
-    if b.key < a.key:
-        a, b = b, a
-    return _mk(PAnd, f"({a.key} & {b.key})", a, b)
+def _join(name: str, op: str, unit: Formula, absorber: Formula,
+          state_cls: type, path_cls: type | None, doc: str):
+    """The canonical binary join, the one rule behind ``conj``, ``disj``,
+    ``pand`` and ``por``: the unit folds away, the absorber absorbs, equal
+    operands merge and the operands sit in key order.  A path join
+    (``path_cls`` set) of two state formulas is their state join."""
+
+    def join(a, b):
+        if a is unit:
+            return b
+        if b is unit:
+            return a
+        if a is absorber or b is absorber:
+            return absorber
+        if a is b:
+            return a
+        if b.key < a.key:
+            a, b = b, a
+        key = f"({a.key}{op}{b.key})"
+        node = _TABLE.get(key)
+        if node is None:
+            cls = state_cls
+            if path_cls is not None and not (
+                isinstance(a, StateFormula) and isinstance(b, StateFormula)
+            ):
+                cls = path_cls
+            node = _mk(cls, key, a, b)
+        return node
+
+    join.__name__ = join.__qualname__ = name
+    join.__doc__ = doc
+    return join
 
 
-def por(a: Formula, b: Formula) -> Formula:
-    """Path disjunction: the ``disj`` of two state formulas, otherwise a
-    ``POr`` with the same folding and operand order as ``disj``."""
-    if isinstance(a, StateFormula) and isinstance(b, StateFormula):
-        return disj(a, b)
-    if a is FALSE:
-        return b
-    if b is FALSE:
-        return a
-    if a is TRUE or b is TRUE:
-        return TRUE
-    if a is b:
-        return a
-    if b.key < a.key:
-        a, b = b, a
-    return _mk(POr, f"({a.key} | {b.key})", a, b)
+conj = _join("conj", " & ", TRUE, FALSE, And, None,
+             "Binary conjunction with unit/absorber folding and sorted operands.")
+disj = _join("disj", " | ", FALSE, TRUE, Or, None,
+             "Binary disjunction with unit/absorber folding and sorted operands.")
+pand = _join("pand", " & ", TRUE, FALSE, And, PAnd,
+             "Path conjunction: the ``conj`` of two state formulas, otherwise a"
+             " ``PAnd`` with the same folding and operand order as ``conj``.")
+por = _join("por", " | ", FALSE, TRUE, Or, POr,
+            "Path disjunction: the ``disj`` of two state formulas, otherwise a"
+            " ``POr`` with the same folding and operand order as ``disj``.")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +367,7 @@ def mentioned_agents(f: StateFormula) -> frozenset[int]:
     """All agents occurring in coalitions anywhere in ``f``."""
     return frozenset(
         a
-        for g in iter_state_subformulas(f)
+        for g in iter_subformulas(f)
         if isinstance(g, (Enf, Unav))
         for a in g.coalition
     )
@@ -391,7 +381,30 @@ def default_universe(f: StateFormula) -> tuple[int, ...]:
 
 def mentioned_props(f: StateFormula) -> frozenset[str]:
     """All propositions occurring anywhere in ``f``."""
-    return frozenset(g.name for g in iter_state_subformulas(f) if isinstance(g, Lit))
+    return frozenset(g.name for g in iter_subformulas(f) if isinstance(g, Lit))
+
+
+_BINARY = frozenset({And, Or, Implies, Until, Release, PAnd, POr})
+_UNARY = frozenset({Next, Always, Sometime})
+
+
+def iter_subformulas(f: Formula) -> Iterator[Formula]:
+    """Yield ``f`` and every node nested anywhere inside it, state and path,
+    in pre-order; one explicit stack keeps deep nesting and long chains off
+    the call stack."""
+    stack: list[Formula] = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        t = type(g)
+        if t in _BINARY:
+            stack += (g.rhs, g.lhs)
+        elif t in _UNARY:
+            stack.append(g.state)
+        elif t is Enf or t is Unav:
+            stack.append(g.path)
+        elif t is Not:
+            stack.append(g.sub)
 
 
 # ---------------------------------------------------------------------------
@@ -422,33 +435,37 @@ def _normal_form(
     uset = frozenset(universe)
 
     def ns(g: StateFormula, neg: bool) -> StateFormula:
-        if g is TRUE:
-            return FALSE if neg else TRUE
-        if g is FALSE:
-            return TRUE if neg else FALSE
-        if isinstance(g, Lit):
+        t = type(g)
+        if t is Lit:
             return g.complement if neg else g
-        if isinstance(g, Not):
+        if t is TrueConst or t is FalseConst:
+            return lnot(g) if neg else g
+        if t is Not:
             return ns(g.sub, not neg)
-        if isinstance(g, Implies):
+        if t is Implies:
             if neg:
                 return conj(ns(g.lhs, False), ns(g.rhs, True))
             return disj(ns(g.lhs, True), ns(g.rhs, False))
-        if isinstance(g, And):
-            mk = disj if neg else conj
-            return mk(ns(g.lhs, neg), ns(g.rhs, neg))
-        if isinstance(g, Or):
-            mk = conj if neg else disj
-            return mk(ns(g.lhs, neg), ns(g.rhs, neg))
-        if isinstance(g, (Enf, Unav)):
+        if t is And or t is Or:
+            # Down the left spine of a chain of one connective, then back up:
+            # the joins recursion would make, in its order, without its depth.
+            mk = conj if (t is And) != neg else disj
+            rights = []
+            while type(g) is t:
+                rights.append(g.rhs)
+                g = g.lhs
+            out = ns(g, neg)
+            for rhs in reversed(rights):
+                out = mk(out, ns(rhs, neg))
+            return out
+        if t is Enf or t is Unav:
             if not set(g.coalition) <= uset:
                 extra = sorted(set(g.coalition) - uset)
                 raise FormulaError(
                     f"agent(s) {extra} lie outside the agent universe {list(universe)}"
                 )
             path = np(g.path, neg)
-            want_enf = isinstance(g, Enf) != neg
-            if want_enf:
+            if (t is Enf) != neg:
                 return enf(g.coalition, path)
             if frozenset(g.coalition) == uset:
                 return enf((), path)
@@ -458,74 +475,32 @@ def _normal_form(
     def np(p: Formula, neg: bool) -> Formula:
         if isinstance(p, StateFormula):
             return ns(p, neg)
-        if isinstance(p, Next):
+        t = type(p)
+        if t is Next:
             return pnext(ns(p.state, neg))
-        if isinstance(p, Always):
-            if neg:
-                return until(TRUE, ns(p.state, True))
-            return always(ns(p.state, False))
-        if isinstance(p, Sometime):
-            if neg:
-                return always(ns(p.state, True))
-            return until(TRUE, ns(p.state, False))
-        if isinstance(p, Until):
-            if not neg:
-                return until(ns(p.lhs, False), ns(p.rhs, False))
-            nl = ns(p.lhs, True)
-            nr = ns(p.rhs, True)
-            return por(always(nr), until(nr, conj(nr, nl)))
-        if isinstance(p, Release):
-            if not neg:
-                ll = ns(p.lhs, False)
-                rr = ns(p.rhs, False)
-                return por(always(rr), until(rr, conj(rr, ll)))
-            return until(ns(p.lhs, True), ns(p.rhs, True))
-        if isinstance(p, PAnd):
-            mk = por if neg else pand
-            return mk(np(p.lhs, neg), np(p.rhs, neg))
-        if isinstance(p, POr):
-            mk = pand if neg else por
+        if t is Always or t is Sometime:
+            sub = ns(p.state, neg)
+            return always(sub) if (t is Always) != neg else until(TRUE, sub)
+        if t is Until or t is Release:
+            lhs = ns(p.lhs, neg)
+            rhs = ns(p.rhs, neg)
+            if (t is Until) != neg:
+                return until(lhs, rhs)
+            return por(always(rhs), until(rhs, conj(rhs, lhs)))
+        if t is PAnd or t is POr:
+            mk = pand if (t is PAnd) != neg else por
             return mk(np(p.lhs, neg), np(p.rhs, neg))
         raise FormulaError(f"not a path formula: {p!r}")
 
     return ns(f, negated)
 
 
+_SURFACE = frozenset({Not, Implies, Sometime, Release})
+
+
 def is_nnf(f: Formula) -> bool:
     """True when ``f`` contains no surface-only connectives."""
-    if isinstance(f, (TrueConst, FalseConst, Lit)):
-        return True
-    if isinstance(f, (And, Or, Until, PAnd, POr)):
-        return is_nnf(f.lhs) and is_nnf(f.rhs)
-    if isinstance(f, (Enf, Unav)):
-        return is_nnf(f.path)
-    if isinstance(f, (Next, Always)):
-        return is_nnf(f.state)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Classification
-
-
-def classify(f: StateFormula) -> FormulaClass:
-    """Total, mutually exclusive classification of normal-form formulas:
-    ``f.kind``, with successor formulas reported as primitive."""
-    kind = f.kind
-    if kind is SUCCESSOR:
-        return PRIMITIVE
-    if kind is None:
-        raise FormulaError(f"classify expects a normal-form state formula: {f!r}")
-    return kind
-
-
-def is_successor_formula(f: Formula) -> bool:
-    """Quantified single-step formulas ``<<A>>X p`` / ``[[A]]X p``."""
-    return f.kind is SUCCESSOR
-
-
-def is_gamma(f: Formula) -> bool:
-    return f.kind is GAMMA
+    return not any(type(g) in _SURFACE for g in iter_subformulas(f))
 
 
 # ---------------------------------------------------------------------------
@@ -557,32 +532,18 @@ def formula_size(f: StateFormula, universe: tuple[int, ...] | None = None) -> in
 
 
 def boolean_depth(f: StateFormula) -> int:
-    """Maximum Boolean nesting inside any path formula of ``f``.
-
-    State formulas embedded in path positions contribute depth 0 (their own
-    Boolean structure is reachable without crossing a temporal operator
-    boundary only through another quantifier, which restarts the count).
-    """
-
-    def depth_state(g: StateFormula) -> int:
-        if isinstance(g, (And, Or)):
-            return max(depth_state(g.lhs), depth_state(g.rhs))
-        if isinstance(g, (Enf, Unav)):
-            return max(_superficial_depth(g.path), depth_path_states(g.path))
-        return 0
-
-    def depth_path_states(p: Formula) -> int:
-        if isinstance(p, StateFormula):
-            return depth_state(p)
-        if isinstance(p, (Next, Always)):
-            return depth_state(p.state)
-        if isinstance(p, Until):
-            return max(depth_state(p.lhs), depth_state(p.rhs))
-        if isinstance(p, (PAnd, POr)):
-            return max(depth_path_states(p.lhs), depth_path_states(p.rhs))
-        raise FormulaError(f"not a normal-form path formula: {p!r}")
-
-    return depth_state(f)
+    """Maximum Boolean nesting of the path formula under any quantifier of
+    ``f``, or 0 when there is none.  Defined on normal form: a state formula
+    in a path position adds no depth, since its own Boolean structure is
+    counted again only under its own quantifiers."""
+    return max(
+        (
+            _superficial_depth(g.path)
+            for g in iter_subformulas(f)
+            if isinstance(g, (Enf, Unav))
+        ),
+        default=0,
+    )
 
 
 def _superficial_depth(p: Formula) -> int:
@@ -617,10 +578,11 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"true", "false", "U", "R", "X", "G", "F"}
 
 # Deepest nesting of '~', 'X'/'G'/'F', quantifier operands, parentheses and
-# right-nested '->' the parser accepts.  Later stages walk formulas
-# recursively, so deeper input is refused up front.  Flat '&'/'|' chains
-# are built iteratively and not counted: a long one still overflows the
-# interpreter stack in those walks.
+# right-nested '->' the parser accepts.  Later stages walk that nesting
+# recursively, so deeper input is refused up front.  A flat '&'/'|' chain is
+# not nesting: the parser builds it iteratively and is not limited by it.
+# The node walk, normal form, the printer, ``holds_locally`` and the oracle
+# loop down a chain's left spine, so long state chains are decided.
 MAX_NESTING_DEPTH = 100
 
 
@@ -733,26 +695,20 @@ class _Parser:
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "tilde":
-            self.take()
-            self.descend(tok)
-            sub = self.parse_unary()
-            self.depth -= 1
-            if isinstance(sub, PathFormula):
-                raise self.error("'~' negates state formulas, not path formulas", tok)
-            return lnot(sub)
-        if tok.kind in ("X", "G", "F"):
+        if tok.kind in ("tilde", "X", "G", "F"):
             self.take()
             self.descend(tok)
             sub = self.parse_unary()
             self.depth -= 1
             if isinstance(sub, PathFormula):
                 raise self.error(
-                    f"temporal operator '{tok.text}' applies to a state formula"
+                    "'~' negates state formulas, not path formulas"
+                    if tok.kind == "tilde"
+                    else f"temporal operator '{tok.text}' applies to a state formula"
                     " -- nested temporal operators are not in the logic",
                     tok,
                 )
-            mk = {"X": pnext, "G": always, "F": sometime}[tok.kind]
+            mk = {"tilde": lnot, "X": pnext, "G": always, "F": sometime}[tok.kind]
             return mk(sub)
         if tok.kind in ("enfopen", "unavopen"):
             self.take()
@@ -839,81 +795,54 @@ def _print_state(f: StateFormula, parent: int, guard: bool = False) -> str:
         return "true"
     if f is FALSE:
         return "false"
-    if isinstance(f, Lit):
+    t = type(f)
+    if t is Lit:
         return f.name if f.positive else "~" + f.name
-    if isinstance(f, Not):
+    if t is Not:
         return "~" + _print_state(f.sub, _PREC_UNARY, guard)
-    if isinstance(f, And):
-        text = f"{_print_state(f.lhs, _PREC_AND)} & {_print_state(f.rhs, _PREC_AND + 1)}"
-        return _wrap(text, _PREC_AND, parent)
-    if isinstance(f, Or):
-        text = f"{_print_state(f.lhs, _PREC_OR)} | {_print_state(f.rhs, _PREC_OR + 1)}"
-        return _wrap(text, _PREC_OR, parent)
-    if isinstance(f, Implies):
+    if t is And or t is Or:
+        return _print_join(f, parent, _print_state)
+    if t is Implies:
         text = f"{_print_state(f.lhs, _PREC_IMP + 1)} -> {_print_state(f.rhs, _PREC_IMP)}"
         return _wrap(text, _PREC_IMP, parent)
-    if isinstance(f, Enf):
-        text = f"<<{coalition_text(f.coalition)}>>{_print_quant_operand(f.path)}"
-        return f"({text})" if guard else text
-    if isinstance(f, Unav):
-        text = f"[[{coalition_text(f.coalition)}]]{_print_quant_operand(f.path)}"
+    if t is Enf or t is Unav:
+        # A quantifier binds one unary/Until-level path expression; anything
+        # looser (path-level & or |) gets parentheses from its precedence.
+        text = _quantifier_prefix(f) + _print_path(f.path, _PREC_UNARY)
         return f"({text})" if guard else text
     raise FormulaError(f"not a printable state formula: {f!r}")
 
 
-def _print_quant_operand(p: Formula) -> str:
-    # A quantifier binds one unary/Until-level path expression; anything
-    # looser (path-level & or |) needs explicit parentheses.
-    if isinstance(p, (PAnd, POr)):
-        return f"({_print_path(p, _PREC_OR)})"
-    return _print_path(p, _PREC_UNARY)
+# Binary Boolean connectives -> (infix text, precedence); temporal operators
+# -> their text, a prefix of the unary ones and an infix of 'U' and 'R'.
+_JOINS = {And: (" & ", _PREC_AND), PAnd: (" & ", _PREC_AND),
+          Or: (" | ", _PREC_OR), POr: (" | ", _PREC_OR)}
+_TEMPORAL = {Next: "X ", Always: "G ", Sometime: "F ", Until: " U ", Release: " R "}
+
+
+def _print_join(f: Formula, parent: int, operand) -> str:
+    """A chain of one Boolean connective, printed down its left spine: the
+    left operand at the connective's own level needs no parentheses."""
+    t = type(f)
+    op, prec = _JOINS[t]
+    parts = []
+    while type(f) is t:
+        parts.append(operand(f.rhs, prec + 1))
+        f = f.lhs
+    parts.append(operand(f, prec))
+    return _wrap(op.join(reversed(parts)), prec, parent)
 
 
 def _print_path(p: Formula, parent: int) -> str:
     if isinstance(p, StateFormula):
         return _print_state(p, parent)
-    if isinstance(p, Next):
-        return "X " + _print_state(p.state, _PREC_UNARY)
-    if isinstance(p, Always):
-        return "G " + _print_state(p.state, _PREC_UNARY)
-    if isinstance(p, Sometime):
-        return "F " + _print_state(p.state, _PREC_UNARY)
-    if isinstance(p, Until):
+    t = type(p)
+    if t is PAnd or t is POr:
+        return _print_join(p, parent, _print_path)
+    op = _TEMPORAL.get(t)
+    if op is None:
+        raise FormulaError(f"not a printable path formula: {p!r}")
+    if t is Until or t is Release:
         lhs = _print_state(p.lhs, _PREC_UNARY, guard=True)
-        text = f"{lhs} U {_print_state(p.rhs, _PREC_UNARY)}"
-        return _wrap(text, _PREC_AND + 1, parent) if parent > _PREC_AND else text
-    if isinstance(p, Release):
-        lhs = _print_state(p.lhs, _PREC_UNARY, guard=True)
-        text = f"{lhs} R {_print_state(p.rhs, _PREC_UNARY)}"
-        return _wrap(text, _PREC_AND + 1, parent) if parent > _PREC_AND else text
-    if isinstance(p, PAnd):
-        text = f"{_print_path(p.lhs, _PREC_AND)} & {_print_path(p.rhs, _PREC_AND + 1)}"
-        return _wrap(text, _PREC_AND, parent)
-    if isinstance(p, POr):
-        text = f"{_print_path(p.lhs, _PREC_OR)} | {_print_path(p.rhs, _PREC_OR + 1)}"
-        return _wrap(text, _PREC_OR, parent)
-    raise FormulaError(f"not a printable path formula: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# Iteration helpers
-
-
-def iter_state_subformulas(f: StateFormula) -> Iterator[StateFormula]:
-    """Yield ``f`` and every state formula nested anywhere inside it, in
-    pre-order; an explicit stack keeps deep nesting off the call stack."""
-    stack: list[Formula] = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, StateFormula):
-            yield g
-            if isinstance(g, (Enf, Unav)):
-                stack.append(g.path)
-            elif isinstance(g, Not):
-                stack.append(g.sub)
-            elif isinstance(g, (And, Or, Implies)):
-                stack += (g.rhs, g.lhs)
-        elif isinstance(g, (Next, Always, Sometime)):
-            stack.append(g.state)
-        elif isinstance(g, (Until, Release, PAnd, POr)):
-            stack += (g.rhs, g.lhs)
+        return lhs + op + _print_state(p.rhs, _PREC_UNARY)
+    return op + _print_state(p.state, _PREC_UNARY)

@@ -32,7 +32,6 @@ from .syntax import (
     Enf,
     Lit,
     StateFormula,
-    is_gamma,
     mentioned_props,
     negate,
     parse,
@@ -134,17 +133,23 @@ def eventuality_rows(tab: Tableau) -> list[StateFormula]:
     )
 
 
-def pending_rows(rows: list[StateFormula], state: TState) -> list[int]:
+def pending_rows(
+    rows: list[StateFormula],
+    state: TState,
+    ranks: dict[tuple[int, StateFormula], int],
+) -> list[int]:
     """Row indices whose eventuality the state carries but defers.
 
     An eventuality realized by the state's own label imposes no obligation
     on the onward structure; only the deferred ones require that a play
-    eventually pass through their realizing component.
+    eventually pass through their realizing component.  Elimination ranked
+    every gamma formula of a surviving state, with rank 0 exactly for those
+    its label realizes, so ``ranks`` is the final tableau's ``realization``.
     """
     return [
         i
         for i, ev in enumerate(rows)
-        if ev in state.label and not realized_now(ev.path, state.label)
+        if ev in state.label and ranks[(state.index, ev)] > 0
     ]
 
 
@@ -178,7 +183,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     n_rows = len(rows)
 
     eta = tab.input
-    start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
+    start = rows.index(eta) if eta.kind is GAMMA and eta in rows else 0
 
     nodes: list[HNode] = []
     # state index -> its move partition, computed once per call
@@ -255,7 +260,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
         if not node.alive or not node.is_dead_end():
             continue
         present = component_roots.get(node.state.index, {})
-        deferred = pending_rows(rows, node.state)
+        deferred = pending_rows(rows, node.state, ranks)
         if deferred:
             row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
         elif present:
@@ -383,9 +388,7 @@ def _choice_grid(
     return grid
 
 
-def validate_hintikka(
-    model: CGM, universe: tuple[int, ...] | None = None
-) -> list[str]:
+def validate_hintikka(model: CGM, universe: tuple[int, ...]) -> list[str]:
     """Check the saturation conditions H1..H6 on an annotated model.
 
     Returns a list of human-readable violations ("H1 violated at state ...");
@@ -398,8 +401,6 @@ def validate_hintikka(
     Agents take action positions in sorted order, as in the oracle: the
     smallest agent of ``universe`` plays position 0.
     """
-    if universe is None:
-        universe = tuple(range(1, model.agents + 1))
     if len(universe) != model.agents:
         raise SynthesisError(
             f"universe has {len(universe)} agents, model has {model.agents}"

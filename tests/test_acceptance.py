@@ -18,10 +18,10 @@ from atlplus.enumeration import enumerate_cgms, find_bounded_model, sample_cgm
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.synthesis import assemble, extract_cgm, validate_hintikka
 from atlplus.syntax import (
+    GAMMA,
     default_universe,
     disj,
     formula_size,
-    is_gamma,
     mentioned_agents,
     mentioned_props,
     negate,
@@ -306,7 +306,7 @@ def test_a8_semantic_invariants(capsys):
                 checks += 1
                 # Decomposition equivalence: a quantified formula equals
                 # the disjunction of its rendered components.
-                if is_gamma(f):
+                if f.kind is GAMMA:
                     equiv = None
                     for c in gamma_components(f):
                         equiv = (

@@ -28,6 +28,22 @@ def _model(agents, counts, transitions, props, initial=0):
     )
 
 
+def test_check_model_evaluates_long_flat_chains():
+    # One state holding p0..p1999: the oracle loops down a chain's spine.
+    model = _model(
+        agents=1,
+        counts=[(1,)],
+        transitions={(0, (0,)): 0},
+        props=[{f"p{i}" for i in range(2000)}],
+    )
+    conjuncts = [f"p{i}" for i in range(2000)]
+    assert check_model(model, parse(" & ".join(conjuncts))).holds
+    assert not check_model(model, parse(" & ".join(conjuncts + ["q"]))).holds
+    disjuncts = [f"q{i}" for i in range(2000)]
+    assert not check_model(model, parse(" | ".join(disjuncts))).holds
+    assert check_model(model, parse(" | ".join(disjuncts + ["p7"]))).holds
+
+
 # State 0 holds p and may stay (action 0) or move (action 1) to the q sink.
 TOGGLE = _model(
     agents=1,

@@ -33,12 +33,10 @@ from atlplus.syntax import (
     POr,
     StateFormula,
     always,
-    classify,
     conj,
     disj,
     default_universe,
     formula_size,
-    is_successor_formula,
     lit,
     pand,
     parse,
@@ -177,7 +175,7 @@ def test_gamma_component_structure():
     done = [c for c in comps if c.step is None]
     assert len(deferring) == 1 and len(done) == 1
     c = deferring[0]
-    assert is_successor_formula(c.step)
+    assert c.step.kind is FormulaClass.SUCCESSOR
     assert c.step.path.state is c.next_ev
     assert c.rendered is conj(c.now, c.step)
     assert done[0].rendered is done[0].now
@@ -221,6 +219,54 @@ def test_holds_locally_modulo_tree_shape():
     label = frozenset({P, Q, R_})
     assert holds_locally(conj(conj(P, Q), R_), label)
     assert holds_locally(conj(P, conj(Q, R_)), label)
+
+
+def _recursive_holds_locally(g, label):
+    """The recursive definition the spine loop of ``holds_locally`` keeps."""
+    if g is TRUE or g in label:
+        return True
+    if g.kind is FormulaClass.ALPHA:
+        return _recursive_holds_locally(g.lhs, label) and _recursive_holds_locally(
+            g.rhs, label
+        )
+    if g.kind is FormulaClass.BETA:
+        return _recursive_holds_locally(g.lhs, label) or _recursive_holds_locally(
+            g.rhs, label
+        )
+    return False
+
+
+def test_holds_locally_loops_down_long_chains():
+    ps = [lit(f"p{i}") for i in range(2000)]
+    conjunction = parse(" & ".join(map(to_text, ps)))
+    disjunction = parse(" | ".join(map(to_text, ps)))
+    label = frozenset(ps)
+    assert holds_locally(conjunction, label)
+    assert not holds_locally(conjunction, label - {ps[0]})
+    assert not holds_locally(conjunction, label - {ps[-1]})
+    assert holds_locally(disjunction, frozenset({ps[0]}))
+    assert holds_locally(disjunction, frozenset({ps[-1]}))
+    assert not holds_locally(disjunction, frozenset({P}))
+    # A spine node that is itself in the label holds, whatever lies below.
+    prefix = conjunction.lhs.lhs
+    assert holds_locally(conjunction, frozenset({prefix, ps[-2], ps[-1]}))
+    assert not holds_locally(conjunction, frozenset({prefix, ps[-1]}))
+
+
+def test_holds_locally_matches_the_recursive_definition():
+    rng = random.Random(5)
+    checked = 0
+    for raw in random_corpus(12, 200, GenConfig(bool_depth=3, max_size=16)):
+        cl = sorted(closure(to_nnf(raw, default_universe(raw))))
+        for g in cl:
+            if g.kind is FormulaClass.ALPHA or g.kind is FormulaClass.BETA:
+                for _ in range(3):
+                    label = frozenset(h for h in cl if rng.random() < 0.4)
+                    assert holds_locally(g, label) == _recursive_holds_locally(
+                        g, label
+                    ), to_text(g)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_realized_now_cases():
@@ -274,13 +320,13 @@ def test_closure_is_closed_under_components():
         f = to_nnf(raw, universe)
         cl = set(closure(f))
         for g in cl:
-            kind = classify(g)
+            kind = g.kind
             if kind in (FormulaClass.ALPHA, FormulaClass.BETA):
                 assert g.lhs in cl and g.rhs in cl
             elif kind is FormulaClass.GAMMA:
                 for c in gamma_components(g):
                     assert c.rendered in cl
-            elif is_successor_formula(g):
+            elif kind is FormulaClass.SUCCESSOR:
                 assert g.path.state in cl
 
 
@@ -362,7 +408,7 @@ def test_full_expansions_are_saturated(seed):
     for label in full_expansions([f]):
         assert FALSE not in label
         for g in label:
-            kind = classify(g)
+            kind = g.kind
             if kind is FormulaClass.ALPHA:
                 assert g.lhs in label and g.rhs in label
             elif kind is FormulaClass.BETA:

@@ -9,6 +9,7 @@ from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import (
     FALSE,
     TRUE,
+    Always,
     And,
     Enf,
     FalseConst,
@@ -19,6 +20,7 @@ from atlplus.syntax import (
     Next,
     Not,
     Or,
+    POr,
     ParseError,
     PAnd,
     StateFormula,
@@ -27,27 +29,26 @@ from atlplus.syntax import (
     Until,
     always,
     boolean_depth,
-    classify,
     conj,
     default_universe,
     disj,
     enf,
     formula_size,
     implies,
-    is_gamma,
     is_nnf,
-    is_successor_formula,
-    iter_state_subformulas,
+    iter_subformulas,
     lit,
     lnot,
     mentioned_agents,
     mentioned_props,
+    negate,
     pand,
     parse,
     pnext,
     to_nnf,
     to_text,
     until,
+    _superficial_depth,
 )
 
 
@@ -243,7 +244,7 @@ def test_nnf_proper_coalitions_after_rewrite():
 
 
 def _walk_unav(f):
-    return [g for g in iter_state_subformulas(f) if isinstance(g, Unav)]
+    return [g for g in iter_subformulas(f) if isinstance(g, Unav)]
 
 
 def test_nnf_idempotent_on_corpus():
@@ -271,23 +272,36 @@ def test_default_universe_is_mentioned_agents_at_least_one():
     assert default_universe(parse("<<>>X p")) == (1,)
 
 
-def _recursive_state_subformulas(g, out):
-    """Pre-order by recursion: the walk ``iter_state_subformulas`` must match."""
-    if isinstance(g, StateFormula):
-        out.append(g)
+def _recursive_subformulas(g, out):
+    """Pre-order by recursion: the walk ``iter_subformulas`` must match."""
+    out.append(g)
     for name in ("sub", "path", "state", "lhs", "rhs"):
         if hasattr(g, name):
-            _recursive_state_subformulas(getattr(g, name), out)
+            _recursive_subformulas(getattr(g, name), out)
     return out
 
 
-def test_iter_state_subformulas_yields_the_recursive_pre_order():
+def test_iter_subformulas_yields_the_recursive_pre_order():
     texts = ["<<1>>(p & X q) & [[2]](G q | p)", "~(p -> <<1,2>>(p R ~q & F p))"]
     corpus = [parse(t) for t in texts] + random_corpus(3, 300)
     corpus += [to_nnf(f, default_universe(f)) for f in corpus]
     for f in corpus:
-        expected = _recursive_state_subformulas(f, [])
-        assert list(iter_state_subformulas(f)) == expected, to_text(f)
+        expected = _recursive_subformulas(f, [])
+        assert list(iter_subformulas(f)) == expected, to_text(f)
+
+
+def test_normal_form_and_printer_loop_down_long_flat_chains():
+    text = " & ".join(f"p{i}" for i in range(2000))
+    f = parse(text)
+    assert is_nnf(f) and to_nnf(f, (1,)) is f
+    assert to_text(f) == text
+    g = negate(f, (1,))
+    assert to_text(g) == " | ".join(f"~p{i}" for i in range(2000))
+    assert negate(g, (1,)) is f
+    assert parse(to_text(g)) is g
+    h = parse(f"<<1>>G ({text}) | <<1>>(q U ({to_text(g)}))")
+    assert to_nnf(h, (1,)) is h and parse(to_text(h)) is h
+    assert boolean_depth(h) == 0
 
 
 def test_mention_helpers_walk_long_flat_chains():
@@ -304,29 +318,29 @@ def test_mention_helpers_walk_long_flat_chains():
 # Classification
 
 
-def test_classify_all_classes():
+def test_kinds_of_all_classes():
     universe = (1, 2)
-    assert classify(lit("p")) is FormulaClass.PRIMITIVE
-    assert classify(TRUE) is FormulaClass.PRIMITIVE
-    assert classify(parse("p & q")) is FormulaClass.ALPHA
-    assert classify(parse("p | q")) is FormulaClass.BETA
-    assert classify(to_nnf(parse("<<1>>(p U q)"), universe)) is FormulaClass.GAMMA
+    assert lit("p").kind is FormulaClass.PRIMITIVE
+    assert TRUE.kind is FormulaClass.PRIMITIVE
+    assert parse("p & q").kind is FormulaClass.ALPHA
+    assert parse("p | q").kind is FormulaClass.BETA
+    assert to_nnf(parse("<<1>>(p U q)"), universe).kind is FormulaClass.GAMMA
     # Successor formulas are their own kind, handled by the next-state rule.
     step = to_nnf(parse("<<1>>X p"), universe)
-    assert is_successor_formula(step)
+    assert step.kind is FormulaClass.SUCCESSOR
     assert step.path.state is lit("p")
 
 
-def test_is_gamma_excludes_next():
-    assert is_gamma(parse("<<1>>G p"))
-    assert is_gamma(parse("[[1]](p U q)"))
-    assert not is_gamma(parse("<<1>>X p"))
-    assert not is_gamma(parse("p & q"))
+def test_gamma_kind_excludes_next():
+    assert parse("<<1>>G p").kind is FormulaClass.GAMMA
+    assert parse("[[1]](p U q)").kind is FormulaClass.GAMMA
+    assert parse("<<1>>X p").kind is FormulaClass.SUCCESSOR
+    assert parse("p & q").kind is FormulaClass.ALPHA
 
 
-def _reference_classify(f):
-    """The isinstance chain ``classify`` was before each node carried its
-    kind: the reference the interned kinds are checked against."""
+def _reference_kind(f):
+    """The isinstance chain that gave a formula's class before each node
+    carried its kind: the reference the interned kinds are checked against."""
     if isinstance(f, (TrueConst, FalseConst, Lit)):
         return FormulaClass.PRIMITIVE
     if isinstance(f, And):
@@ -335,9 +349,9 @@ def _reference_classify(f):
         return FormulaClass.BETA
     if isinstance(f, (Enf, Unav)):
         if isinstance(f.path, Next):
-            return FormulaClass.PRIMITIVE
+            return FormulaClass.SUCCESSOR
         return FormulaClass.GAMMA
-    raise FormulaError(f"classify expects a normal-form state formula: {f!r}")
+    raise FormulaError(f"not a normal-form state formula: {f!r}")
 
 
 def _roadmap_families():
@@ -360,11 +374,7 @@ def test_interned_kinds_match_the_isinstance_reference():
     checked = 0
     for raw in formulas:
         for f in closure(to_nnf(raw, default_universe(raw))):
-            ref = _reference_classify(f)
-            assert classify(f) is ref, f
-            step = isinstance(f, (Enf, Unav)) and isinstance(f.path, Next)
-            assert is_successor_formula(f) is step, f
-            assert is_gamma(f) is (ref is FormulaClass.GAMMA), f
+            assert f.kind is _reference_kind(f), f
             if isinstance(f, Lit):
                 assert f.complement is lit(f.name, not f.positive)
                 assert f.complement.complement is f
@@ -378,12 +388,12 @@ def test_kinds_outside_the_normal_form_state_fragment():
     p, q = lit("p"), lit("q")
     for surface in (lnot(conj(p, q)), implies(p, q)):
         with pytest.raises(FormulaError):
-            classify(surface)
-        assert not is_gamma(surface) and not is_successor_formula(surface)
+            _reference_kind(surface)
+        assert surface.kind is None
     for path in (pnext(p), always(p), until(p, q), pand(always(p), until(p, q))):
         with pytest.raises(FormulaError):
-            classify(path)
-        assert not is_gamma(path) and not is_successor_formula(path)
+            _reference_kind(path)
+        assert path.kind is None
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +415,42 @@ def test_boolean_depth():
     assert boolean_depth(parse("<<1>>(p U q & G p)")) == 1
     assert boolean_depth(parse("<<1>>((p U q & G p) | G q)")) == 2
     assert boolean_depth(parse("p & q")) == 0
+
+
+def _recursive_boolean_depth(f):
+    """The recursive definition ``boolean_depth`` had before it read the
+    node walk: the reference it is checked against on normal forms."""
+
+    def depth_state(g):
+        if isinstance(g, (And, Or)):
+            return max(depth_state(g.lhs), depth_state(g.rhs))
+        if isinstance(g, (Enf, Unav)):
+            return max(_superficial_depth(g.path), depth_path_states(g.path))
+        return 0
+
+    def depth_path_states(p):
+        if isinstance(p, StateFormula):
+            return depth_state(p)
+        if isinstance(p, (Next, Always)):
+            return depth_state(p.state)
+        if isinstance(p, Until):
+            return max(depth_state(p.lhs), depth_state(p.rhs))
+        if isinstance(p, (PAnd, POr)):
+            return max(depth_path_states(p.lhs), depth_path_states(p.rhs))
+        raise FormulaError(f"not a normal-form path formula: {p!r}")
+
+    return depth_state(f)
+
+
+def test_boolean_depth_matches_the_recursive_reference():
+    corpus = random_corpus(3, 1000, GenConfig(bool_depth=3, max_size=20))
+    corpus += random_corpus(4, 1000, GenConfig(agents=(1, 2, 3)))
+    depths = set()
+    for raw in corpus:
+        f = to_nnf(raw, default_universe(raw))
+        depths.add(boolean_depth(f))
+        assert boolean_depth(f) == _recursive_boolean_depth(f), to_text(f)
+    assert depths >= {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

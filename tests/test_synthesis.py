@@ -24,13 +24,13 @@ from atlplus.synthesis import (
     validate_hintikka,
 )
 from atlplus.syntax import (
+    GAMMA,
     always,
     conj,
     default_universe,
     disj,
     enf,
     implies,
-    is_gamma,
     lit,
     lnot,
     mentioned_props,
@@ -75,7 +75,7 @@ def test_eventuality_rows_in_first_appearance_order(open_tableau):
 def test_pending_rows_exclude_locally_realized(open_tableau):
     _, tab = open_tableau
     rows = eventuality_rows(tab)
-    got = {s.index: pending_rows(rows, s) for s in tab.alive_states()}
+    got = {s.index: pending_rows(rows, s, tab.realization) for s in tab.alive_states()}
     assert got == {1: [0], 2: [0], 3: [2], 4: [], 5: [1], 6: [], 7: [], 8: []}
 
 
@@ -224,7 +224,9 @@ def test_assemble_handles_deferred_obligations_at_dead_ends():
     tab = decide(fn, uni).tableau
     rows = eventuality_rows(tab)
     assert [to_text(r) for r in rows] == ["<<>>(G q & r U p)", "<<>>G q"]
-    assert {s.index: pending_rows(rows, s) for s in tab.alive_states()} == {
+    assert {
+        s.index: pending_rows(rows, s, tab.realization) for s in tab.alive_states()
+    } == {
         1: [],
         2: [0],
         3: [],
@@ -288,7 +290,7 @@ def test_remainders_never_return_to_an_earlier_eventuality():
     later = {}
     for raw in formulas:
         for g in closure(to_nnf(raw, default_universe(raw))):
-            if is_gamma(g):
+            if g.kind is GAMMA:
                 later[g] = {c.next_ev for c in gamma_components(g)} - {None, g}
     assert len(later) > 500
     # Peeling the eventualities whose remainders are all peeled empties
@@ -349,7 +351,7 @@ def _tree_based_assemble(tab):
     rows = eventuality_rows(tab)
     n_rows = len(rows)
     eta = tab.input
-    start = rows.index(eta) if is_gamma(eta) and eta in rows else 0
+    start = rows.index(eta) if eta.kind is GAMMA and eta in rows else 0
     nodes = []
     component_roots = {}
 
@@ -392,7 +394,7 @@ def _tree_based_assemble(tab):
         if not node.alive or not node.is_dead_end():
             continue
         present = component_roots.get(node.state.index, {})
-        deferred = pending_rows(rows, node.state)
+        deferred = pending_rows(rows, node.state, tab.realization)
         if deferred:
             row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
         elif present:

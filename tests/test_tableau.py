@@ -13,8 +13,8 @@ from hypothesis import strategies as hst
 from atlplus.decomposition import realized_now
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import (
+    SUCCESSOR,
     default_universe,
-    is_successor_formula,
     parse,
     to_nnf,
     to_text,
@@ -280,7 +280,7 @@ def test_states_with_one_step_set_share_their_moves():
     d = run(AGENTS4_SAT)
     first_by_steps = {}
     for s in d.tableau.states:
-        steps = frozenset(filter(is_successor_formula, s.label))
+        steps = frozenset(g for g in s.label if g.kind is SUCCESSOR)
         first = first_by_steps.setdefault(steps, s)
         assert s.successors is first.successors
         assert s.enf_steps is first.enf_steps
@@ -465,7 +465,7 @@ def test_every_tableau_matches_golden_digests():
 def test_trivial_step_added_when_no_successor_formula():
     d = run("p & q", (1,))
     s = d.tableau.states[0]
-    steps = [g for g in s.label if is_successor_formula(g)]
+    steps = [g for g in s.label if g.kind is SUCCESSOR]
     assert [to_text(g) for g in steps] == ["<<1>>X true"]
 
 
