@@ -16,7 +16,11 @@ its cell's target prestate.  These cells are the only record of a state's
 moves: elimination, synthesis and the DOT export all read them.
 Elimination repeatedly removes states that either lost all successors for
 some cell or contain a quantified path formula whose eventualities can no
-longer be realized.  The input is satisfiable exactly when a state
+longer be realized.  It tests each (state, gamma formula) pair against the
+label once, then each round ranks only the pairs the labels leave open.
+Ranking reads, per successor formula, the distinct target prestates of the
+cells committed to it, derived once per step set, and the stuck rule is
+decided once per step set.  The input is satisfiable exactly when a state
 containing it survives.
 """
 
@@ -160,6 +164,7 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
     get_prestate(frozenset({f}))
     while pending:
         pre = pending.popleft()
+        members: set[int] = set()  # indices of ``pre.states``
         for expansion in full_expansions(pre.label):
             label = expansion
             steps = frozenset([g for g in label if g.kind is SUCCESSOR])
@@ -178,7 +183,8 @@ def build_pretableau(f: StateFormula, universe: tuple[int, ...]) -> Tableau:
                 state = TState(len(tab.states) + 1, label, linked, *moves)
                 tab.states.append(state)
                 state_by_label[label] = state
-            if state not in pre.states:
+            if state.index not in members:
+                members.add(state.index)
                 pre.states.append(state)
     return tab
 
@@ -238,92 +244,142 @@ def _apply_next(universe: tuple[int, ...], steps, get_prestate, layouts: dict) -
     return enf_steps, unav_steps, successors
 
 
-def realization_fixpoint(tab: Tableau) -> dict[tuple[int, StateFormula], int]:
-    """Breadth-first ranks for (state, quantified-path-formula) pairs.
+def _targets_by_step(successors: list[Cell]) -> dict[StateFormula, list[Prestate]]:
+    """Each successor formula of a step set, with the distinct target
+    prestates of the cells that commit to it."""
+    by_step: dict[StateFormula, dict[int, Prestate]] = {}
+    for cell in successors:
+        for g in cell.steps:
+            by_step.setdefault(g, {})[cell.target.index] = cell.target
+    return {g: list(targets.values()) for g, targets in by_step.items()}
 
-    Rank 0 pairs are discharged by the label alone.  A pair earns a finite
-    rank when every cell committed to its linked successor formula reaches
-    some surviving state where the re-quantified remainder has a strictly
-    smaller rank.  Pairs that never earn a rank are unrealizable.
+
+def _open_pairs(
+    opened: list[tuple[TState, StateFormula]],
+    step_targets: dict[int, dict[StateFormula, list[Prestate]]],
+):
+    """(pair key, remainder, targets of the linked step) for each open pair
+    of a live state that a successor could realize."""
+    for s, g in opened:
+        component = s.linked[g]
+        if not s.alive or component.step is None:
+            continue  # dead, or only its label could have realized it
+        targets = step_targets.get(id(s.successors))
+        if targets is None:
+            targets = step_targets[id(s.successors)] = _targets_by_step(s.successors)
+        yield (s.index, g), component.next_ev, targets.get(component.step, ())
+
+
+def _rank_open_pairs(
+    rank: dict[tuple[int, StateFormula], int],
+    opened: list[tuple[TState, StateFormula]],
+    step_targets: dict[int, dict[StateFormula, list[Prestate]]],
+) -> None:
+    """Give the open pairs of live states their breadth-first ranks.
+
+    ``rank`` holds the rank-0 pairs of the live states, those their labels
+    realize, and ``opened`` the other (state, gamma formula) pairs.  An
+    open pair earns rank ``level`` when every target prestate of the cells
+    committed to its linked step has a live state where the re-quantified
+    remainder ranks below ``level``.  Pairs that never earn a rank are
+    unrealizable.  ``step_targets`` caches each step set's targets per
+    step, by ``id`` of the shared ``successors`` list.
     """
-    alive = tab.alive_states()
-    pairs: list[tuple[TState, StateFormula]] = [
-        (s, g) for s in alive for g in s.linked
-    ]
-    rank: dict[tuple[int, StateFormula], int] = {}
-    for s, g in pairs:
-        if realized_now(g.path, s.label):
-            rank[(s.index, g)] = 0
+    # (prestate index, remainder) pairs where some live state ranks the
+    # remainder below the current level; a hit stays a hit at later levels.
+    reached: set[tuple[int, StateFormula]] = set()
+    pending = _open_pairs(opened, step_targets)
     level = 0
-    changed = True
-    while changed:
+    while True:
         level += 1
-        changed = False
-        # (prestate index, remainder) -> some live state of the prestate
-        # ranks the remainder below ``level``.  Exact for the whole level:
-        # ranks assigned during it equal ``level`` and never pass the test.
-        reaches: dict[tuple[int, StateFormula], bool] = {}
-        for s, g in pairs:
-            if (s.index, g) in rank:
-                continue
-            component = s.linked[g]
-            if component.step is None:
-                continue  # dischargeable only locally, and the label said no
-            ev1 = component.next_ev
-            for cell in s.successors:
-                if component.step not in cell.steps:
+        # Ranks assigned during a level equal ``level`` and never pass the
+        # test, so a miss holds for the whole level.
+        missed: set[tuple[int, StateFormula]] = set()
+        waiting = []
+        ranked = False
+        for entry in pending:
+            key, ev1, pres = entry
+            for pre in pres:
+                hit = (pre.index, ev1)
+                if hit in reached:
                     continue
-                key = (cell.target.index, ev1)
-                hit = reaches.get(key)
-                if hit is None:
-                    hit = reaches[key] = any(
-                        rank.get((t.index, ev1), level) < level
-                        for t in cell.target.states
-                        if t.alive
-                    )
-                if not hit:
+                if hit in missed or not any(
+                    rank.get((t.index, ev1), level) < level
+                    for t in pre.states
+                    if t.alive
+                ):
+                    missed.add(hit)
+                    waiting.append(entry)
                     break
+                reached.add(hit)
             else:
-                rank[(s.index, g)] = level
-                changed = True
-    return rank
+                rank[key] = level
+                ranked = True
+        if not (ranked and waiting):
+            return
+        pending = waiting
 
 
 def eliminate_states(tab: Tableau) -> list[dict[str, list[int]]]:
     """Alternate the two elimination rules in batched rounds to a fixpoint.
 
-    Each round recomputes realization ranks on the current survivors, then
-    removes every state with an unrealizable pair, then every state left
-    with a cell whose target prestate has no live state.  The trace records
-    the removals per round.
+    Whether a label alone realizes a gamma formula never changes, so each
+    (state, gamma formula) pair is tested once, before the first round:
+    it ranks 0 for good, or it is open.  Each round ranks the open pairs
+    of the current survivors, reading per step the distinct target
+    prestates of each step set, derived once per shared ``successors``
+    list.  It removes every state with an unrealizable pair, then every
+    state left with a cell whose target prestate has no live state, a
+    verdict reached once per step set.  The trace records the removals per
+    round, and ``tab.realization`` holds the last round's ranks, those of
+    the survivors.
     """
+    # Between rounds, ``rank`` holds just the rank-0 pairs of the survivors.
+    rank: dict[tuple[int, StateFormula], int] = {}
+    opened: list[tuple[TState, StateFormula]] = []
+    for s in tab.alive_states():
+        for g in s.linked:
+            if realized_now(g.path, s.label):
+                rank[(s.index, g)] = 0
+            else:
+                opened.append((s, g))
+    step_targets: dict[int, dict[StateFormula, list[Prestate]]] = {}
     trace: list[dict[str, list[int]]] = []
     while True:
-        rank = realization_fixpoint(tab)
-        tab.realization = rank
-        removed_unrealized = [
-            s
-            for s in tab.alive_states()
-            if any((s.index, g) not in rank for g in s.linked)
-        ]
+        _rank_open_pairs(rank, opened, step_targets)
+        removed_unrealized = list(
+            dict.fromkeys(s for s, g in opened if s.alive and (s.index, g) not in rank)
+        )
         for s in removed_unrealized:
             s.alive = False
         live = [any(t.alive for t in pre.states) for pre in tab.prestates]
-        removed_stuck = [
-            s
-            for s in tab.alive_states()
-            if not all(live[c.target.index] for c in s.successors)
-        ]
+        stuck: dict[int, bool] = {}  # id(successors) -> some target has no live state
+        removed_stuck = []
+        for s in tab.alive_states():
+            verdict = stuck.get(id(s.successors))
+            if verdict is None:
+                verdict = stuck[id(s.successors)] = not all(
+                    live[c.target.index] for c in s.successors
+                )
+            if verdict:
+                removed_stuck.append(s)
         for s in removed_stuck:
             s.alive = False
         if not removed_unrealized and not removed_stuck:
             break
+        # Back to the rank-0 pairs of the survivors.
+        for s, g in opened:
+            rank.pop((s.index, g), None)
+        for s in removed_unrealized + removed_stuck:
+            for g in s.linked:
+                rank.pop((s.index, g), None)
         trace.append(
             {
                 "unrealized": [s.index for s in removed_unrealized],
                 "stuck": [s.index for s in removed_stuck],
             }
         )
+    tab.realization = rank
     tab.phase = "final"
     tab.elimination_trace = trace
     return trace

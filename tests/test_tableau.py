@@ -380,11 +380,17 @@ def _reference_eliminate(tab):
     tab.elimination_trace = trace
 
 
+# The k = 3 families: many states share each step set.
+FG3 = " & ".join(f"<<{i}>>(F p{i} & G r)" for i in range(1, 4))
+DIS3 = " & ".join(f"<<{i}>>(F p{i} | G q)" for i in range(1, 4)) + " & [[1]]F ~q"
+UNSAT3 = FG3 + " & [[1,2,3]]F ~r"
+
+
 def test_elimination_matches_the_per_pair_reference():
-    texts = [AGENTS4_SAT, AGENTS4_UNSAT, OPEN]
+    texts = [AGENTS4_SAT, AGENTS4_UNSAT, OPEN, FG3, DIS3, UNSAT3]
     formulas = [parse(t) for t in texts]
     formulas += random_corpus(5, 300, GenConfig(props=("p", "q")))
-    deep_ranks = 0
+    deep_ranks = multi_round = stuck = 0
     for raw in formulas:
         universe = default_universe(raw)
         f = to_nnf(raw, universe)
@@ -396,8 +402,30 @@ def test_elimination_matches_the_per_pair_reference():
         assert got.elimination_trace == want.elimination_trace, to_text(raw)
         assert [s.alive for s in got.states] == [s.alive for s in want.states]
         deep_ranks += max(got.realization.values(), default=0) > 1
-    # Deeper ranks exercise the per-level reset of the memo.
+        multi_round += len(got.elimination_trace) >= 2
+        stuck += any(batch["stuck"] for batch in got.elimination_trace)
+    # Deeper ranks exercise the per-level reset of the misses; later rounds
+    # rank again after removals; stuck removals read the step-set verdicts.
     assert deep_ranks > 0
+    assert multi_round > 0
+    assert stuck > 0
+
+
+def test_elimination_tests_each_pair_against_its_label_once(monkeypatch):
+    # One removal round, so ranking runs twice; the label test runs once.
+    calls = []
+
+    def counted(path, label):
+        calls.append(path)
+        return realized_now(path, label)
+
+    raw = parse(AGENTS4_SAT)
+    universe = default_universe(raw)
+    tab = build_pretableau(to_nnf(raw, universe), universe)
+    monkeypatch.setattr("atlplus.tableau.realized_now", counted)
+    eliminate_states(tab)
+    assert len(tab.elimination_trace) == 1
+    assert len(calls) == sum(len(s.linked) for s in tab.states) == 15_720
 
 
 # ---------------------------------------------------------------------------
