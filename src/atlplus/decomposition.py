@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .syntax import (
@@ -124,9 +125,9 @@ def _canon_state(parts: Iterable[StateFormula]) -> StateFormula:
     return _fold(conj, TRUE, _state_atoms(parts))
 
 
-def _join(mk: Callable, unit, left: tuple, right: tuple, order: Callable):
-    """The canonical ``mk``-join of two canonical nodes, each given as
-    ``(node, atoms in fold order)``.
+def _join(mk: Callable, unit, left: tuple, right: tuple):
+    """The canonical ``mk``-join (``pand`` or ``por``) of two canonical
+    path nodes, each given as ``(node, atoms in fold order)``.
 
     When every right atom follows every left one, the join's fold passes
     through the left node, so only the right atoms are folded onto it.
@@ -138,26 +139,73 @@ def _join(mk: Callable, unit, left: tuple, right: tuple, order: Callable):
         return node
     if not atoms:
         return other
-    if order(atoms[-1]) < order(more[0]):
+    if _path_order(atoms[-1]) < _path_order(more[0]):
         return _fold(mk, node, more)
-    return _fold(mk, unit, sorted({*atoms, *more}, key=order))
+    return _fold(mk, unit, sorted({*atoms, *more}, key=_path_order))
 
 
-def _sides(pairs: Iterable[DecPair], node_cls: type, mk: Callable, unit) -> list:
-    """Each pair's now and later as ``(canonical node, atoms in fold order)``,
-    ready for :func:`_join` with the other operand's pairs.
+def _conj_join(left: StateFormula, right: StateFormula) -> StateFormula:
+    """The canonical conjunction of two canonical conjunctions.
 
-    Now-parts and the remainders that ``dec`` joins are canonical already,
-    and so is a single temporal atom.  Only a remainder that is a state
-    formula, the payload of an ``X`` of any shape, is folded.
+    The join's fold passes through the fold of the conjuncts of ``left``
+    that sort before every conjunct of ``right``, found by
+    :func:`_conj_prefix`, so only the conjuncts from there on are folded.
     """
-    sides = []
-    for now, later in pairs:
-        later_atoms = _path_atoms(later, node_cls)
-        if later.kind is not None:
-            later = _fold(mk, unit, later_atoms)
-        sides.append(((now, _state_atoms([now])), (later, later_atoms)))
-    return sides
+    if right is TRUE:
+        return left
+    if left is TRUE:
+        return right
+    more = _spine(right)
+    split = _conj_prefix(left, more[0].key)
+    if split is None:
+        return _canon_state([left, right])
+    prefix, moved = split
+    if not moved:
+        return _fold(conj, left, more)
+    return _fold(conj, prefix, sorted({*moved, *more}, key=_key))
+
+
+def _conj_prefix(node: StateFormula, first: str):
+    """``(prefix, moved)``: the fold of the conjuncts of the canonical
+    conjunction ``node`` whose keys sort before ``first``, and the others,
+    greatest first; ``None`` where the lhs spine is not such a fold.
+
+    Each fold step joins the fold so far with a conjunct that sorts after
+    every earlier one, and ``conj`` puts the smaller key on the left.  As
+    keys are spelled, the fold so far sorts before that conjunct too, so
+    the conjunct lands on the right and the spine lists the conjuncts,
+    greatest first.  A swapped step would show an ``And`` on the right;
+    the walk checks every step for one, since the argument rests on the
+    spelling of keys.
+    """
+    moved = []
+    while type(node) is And:
+        atom = node.rhs
+        if type(atom) is And:
+            return None
+        if atom.key < first:
+            return node, moved
+        moved.append(atom)
+        node = node.lhs
+    if node.key < first:
+        return node, moved
+    moved.append(node)
+    return TRUE, moved
+
+
+def _spine(g: StateFormula) -> list[StateFormula]:
+    """The conjuncts of a canonical conjunction other than ``true``, in fold
+    order, read off its lhs spine (see :func:`_conj_prefix`), or flattened
+    where a step is swapped."""
+    atoms = []
+    while type(g) is And:
+        if type(g.rhs) is And:
+            return _state_atoms([g])
+        atoms.append(g.rhs)
+        g = g.lhs
+    atoms.append(g)
+    atoms.reverse()
+    return atoms
 
 
 def _pair(now_parts: Iterable[StateFormula], later: Formula) -> DecPair:
@@ -168,22 +216,76 @@ def _pair(now_parts: Iterable[StateFormula], later: Formula) -> DecPair:
 # Decomposition proper
 
 
+class _Scratch:
+    """Memos of one :func:`closure` call, dropped when it returns.
+
+    Decomposing the paths of many gamma formulas meets the same remainders
+    over and over.  ``sides`` maps a remainder and a connective (``PAnd``
+    or ``POr``) to its canonical node and atoms as an operand of that
+    connective, and ``joins`` two remainders and a connective to their
+    canonical join.  ``steps`` maps a quantifier, coalition and remainder
+    to the re-quantified remainder and its successor formula.  They hold
+    an entry per distinct remainder, not per pair.
+    """
+
+    __slots__ = ("sides", "joins", "steps")
+
+    def __init__(self) -> None:
+        self.sides: dict[tuple[Formula, type], tuple[Formula, list]] = {}
+        self.joins: dict[tuple[Formula, Formula, type], Formula] = {}
+        self.steps: dict[tuple, tuple[StateFormula, StateFormula]] = {}
+
+
+def _later_join(a: Formula, b: Formula, node_cls: type, scratch: _Scratch) -> Formula:
+    """The canonical ``node_cls`` join of two remainders."""
+    key = (a, b, node_cls)
+    joined = scratch.joins.get(key)
+    if joined is None:
+        mk, unit = (pand, TRUE) if node_cls is PAnd else (por, FALSE)
+        joined = _join(
+            mk,
+            unit,
+            _later_side(a, node_cls, mk, unit, scratch),
+            _later_side(b, node_cls, mk, unit, scratch),
+        )
+        scratch.joins[key] = joined
+    return joined
+
+
+def _later_side(
+    later: Formula, node_cls: type, mk: Callable, unit, scratch: _Scratch
+) -> tuple[Formula, list]:
+    """A remainder as ``(canonical node, atoms in fold order)`` for a
+    ``node_cls`` join.  Remainders that ``dec`` joins are canonical, and so
+    is a single temporal atom; only a remainder that is a state formula,
+    the payload of an ``X`` of any shape, is folded."""
+    side = scratch.sides.get((later, node_cls))
+    if side is None:
+        atoms = _path_atoms(later, node_cls)
+        node = later if later.kind is None else _fold(mk, unit, atoms)
+        side = scratch.sides[(later, node_cls)] = (node, atoms)
+    return side
+
+
 _DEC_CACHE: dict[Formula, tuple[DecPair, ...]] = {}
 
 
-def dec(p: Formula) -> tuple[DecPair, ...]:
+def dec(p: Formula, scratch: _Scratch | None = None) -> tuple[DecPair, ...]:
     """All now/later pairs of a normal-form path formula, in a fixed order:
     base operators contribute their defining pairs; a conjunction combines
     every pair of pairs; a disjunction keeps both operands' pairs and adds
     the joint pairs whose obligations overlap on a real suffix.
 
     A combined pair joins the two now-parts by conjunction and the two
-    remainders by the connective itself.  Each operand pair is flattened
-    and sorted once per call, and every combination merges those atoms.
+    remainders by the connective itself.  Now-parts are joined by
+    :func:`_conj_join`, and remainders once per ``scratch``, which the
+    call makes when the caller gives none.
     """
     cached = _DEC_CACHE.get(p)
     if cached is not None:
         return cached
+    if scratch is None:
+        scratch = _Scratch()
     out: list[DecPair]
     if p.kind is not None:
         out = [_pair([p], TRUE)]
@@ -194,33 +296,27 @@ def dec(p: Formula) -> tuple[DecPair, ...]:
     elif isinstance(p, Until):
         out = [_pair([p.lhs], p), _pair([p.rhs], TRUE)]
     elif isinstance(p, (PAnd, POr)):
-        left = dec(p.lhs)
-        right = dec(p.rhs)
+        left = dec(p.lhs, scratch)
+        right = dec(p.rhs, scratch)
         node_cls = type(p)
         if node_cls is PAnd:
-            mk, unit = pand, TRUE
             out = []
         else:
-            mk, unit = por, FALSE
             out = list(left) + list(right)
             # Only pairs that leave a real suffix combine.
             left = [a for a in left if a.later is not TRUE]
             right = [b for b in right if b.later is not TRUE]
-        right_sides = _sides(right, node_cls, mk, unit)
-        for now_a, later_a in _sides(left, node_cls, mk, unit):
-            for now_b, later_b in right_sides:
+        for now_a, later_a in left:
+            for now_b, later_b in right:
                 out.append(
                     DecPair(
-                        _join(conj, TRUE, now_a, now_b, _key),
-                        _join(mk, unit, later_a, later_b, _path_order),
+                        _conj_join(now_a, now_b),
+                        _later_join(later_a, later_b, node_cls, scratch),
                     )
                 )
     else:
         raise FormulaError(f"cannot decompose {p!r}")
-    deduped: dict[DecPair, None] = {}
-    for pair in out:
-        deduped[pair] = None
-    result = tuple(deduped)
+    result = tuple(dict.fromkeys(out))
     _DEC_CACHE[p] = result
     return result
 
@@ -244,20 +340,36 @@ class GammaComponent:
 _GAMMA_CACHE: dict[StateFormula, tuple[GammaComponent, ...]] = {}
 
 
-def gamma_components(f: StateFormula) -> tuple[GammaComponent, ...]:
+def gamma_components(
+    f: StateFormula, scratch: _Scratch | None = None
+) -> tuple[GammaComponent, ...]:
+    """The components of a gamma formula, one per ``dec`` pair of its path.
+
+    Gamma formulas of one quantifier and coalition share remainders, so
+    each remainder's ``next_ev`` and ``step`` are derived once per
+    ``scratch``, which the call makes when the caller gives none.
+    """
     cached = _GAMMA_CACHE.get(f)
     if cached is not None:
         return cached
     if f.kind is not GAMMA:
         raise FormulaError(f"not a gamma formula: {f!r}")
+    if scratch is None:
+        scratch = _Scratch()
+    steps = scratch.steps
+    cls, coalition = type(f), f.coalition
     components = []
-    for now, later in dec(f.path):
+    for now, later in dec(f.path, scratch):
         if later is TRUE:
             components.append(GammaComponent(now, None, None, now))
-        else:
+            continue
+        derived = steps.get((cls, coalition, later))
+        if derived is None:
             next_ev = requantify(f, later)
-            step = requantify(f, pnext(next_ev))
-            components.append(GammaComponent(now, next_ev, step, conj(now, step)))
+            derived = next_ev, requantify(f, pnext(next_ev))
+            steps[(cls, coalition, later)] = derived
+        next_ev, step = derived
+        components.append(GammaComponent(now, next_ev, step, conj(now, step)))
     result = tuple(components)
     _GAMMA_CACHE[f] = result
     return result
@@ -293,21 +405,54 @@ def realized_now(p: Formula, label: frozenset[StateFormula]) -> bool:
     no outstanding suffix obligation beyond invariants that may simply
     continue.  ``X`` is never discharged locally; a state formula must hold
     now; ``G p`` counts as locally consistent when ``p`` is present;
-    ``l U r`` needs ``r`` now."""
-    t = type(p)
-    if t is PAnd:
-        return realized_now(p.lhs, label) and realized_now(p.rhs, label)
-    if t is POr:
-        return realized_now(p.lhs, label) or realized_now(p.rhs, label)
-    if t is Until:
-        return holds_locally(p.rhs, label)
-    if t is Always:
-        return holds_locally(p.state, label)
-    if t is Next:
-        return False
-    if p.kind is None:
-        raise FormulaError(f"cannot evaluate {p!r}")
-    return holds_locally(p, label)
+    ``l U r`` needs ``r`` now.  The test is read from the path's
+    :func:`_realization`."""
+    return _realized(_realization(p), label)
+
+
+def _realized(test: tuple, label: frozenset[StateFormula]) -> bool:
+    """Whether ``label`` passes a test made by :func:`_realization`."""
+    conjunctive, parts = test
+    for g in parts:
+        held = _realized(g, label) if type(g) is tuple else holds_locally(g, label)
+        if held is not conjunctive:
+            return held
+    return conjunctive
+
+
+# The test of ``X``: an empty disjunction, which no label realizes.
+_NEVER = (False, ())
+
+
+@lru_cache(maxsize=4096)
+def _realization(p: Formula) -> tuple:
+    """What :func:`realized_now` tests of ``p``: ``(conjunctive, parts)``,
+    where each part is a state formula the label must force, or a nested
+    test of the same shape.  A chain of ``PAnd`` (``POr``) flattens into
+    one conjunctive (disjunctive) test, and ``X`` becomes the empty
+    disjunction.  Derived once per path formula; the cache is bounded."""
+    node_cls = type(p)
+    conjunctive = node_cls is not POr
+    parts = []
+    stack = [p]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is node_cls and (t is PAnd or t is POr):
+            stack += (g.rhs, g.lhs)
+        elif t is PAnd or t is POr:
+            parts.append(_realization(g))
+        elif t is Until:
+            parts.append(g.rhs)
+        elif t is Always:
+            parts.append(g.state)
+        elif t is Next:
+            parts.append(_NEVER)
+        elif g.kind is None:
+            raise FormulaError(f"cannot evaluate {g!r}")
+        else:
+            parts.append(g)
+    return conjunctive, tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +557,12 @@ def closure(
     (with the two constants always included), in first-reached order.
 
     Raises :class:`ClosureLimitError` past ``limit`` distinct formulas.
+    The components of every gamma formula reached are derived here, with
+    one scratch for all of them, and cached for the rest of the pipeline.
     """
     seen: dict[StateFormula, None] = {TRUE: None, FALSE: None}
     queue: deque[StateFormula] = deque()
+    scratch = _Scratch()
 
     def add(g: StateFormula) -> None:
         if g in seen:
@@ -434,7 +582,7 @@ def closure(
             add(g.lhs)
             add(g.rhs)
         elif kind is GAMMA:
-            for component in gamma_components(g):
+            for component in gamma_components(g, scratch):
                 add(component.rendered)
         elif kind is SUCCESSOR:
             add(g.path.state)

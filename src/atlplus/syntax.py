@@ -24,10 +24,20 @@ whole formula.  The walkers that recurse loop instead down the left spine
 of a long ``&``/``|`` chain, which the parser builds flat.
 The one intern table, which holds every node, is this module's only
 shared mutable state (guarded by the GIL); all operations are otherwise
-pure functions of their inputs.  Other modules keep process-wide caches
-of their own: ``decomposition._DEC_CACHE`` and ``_GAMMA_CACHE``, keyed by
-interned formulas, and ``enumeration._CACHE`` and ``_CHECKERS``, keyed by
-the enumeration bounds.
+pure functions of their inputs.  The process-wide tables of the package:
+
+- ``syntax._TABLE``, the intern table, unbounded;
+- ``decomposition._DEC_CACHE`` and ``_GAMMA_CACHE``, a path formula's
+  now/later pairs and a gamma formula's components, unbounded;
+- ``decomposition._realization``, what ``realized_now`` tests of a path
+  formula, an LRU cache of at most 4,096 entries;
+- ``enumeration._CACHE`` and ``_CHECKERS``, keyed by the enumeration
+  bounds.
+
+The formula-keyed ones key by interned node, so by identity.  No code
+iterates one of them, so none decides an order that reaches an output.
+Memos that serve one formula, such as ``decomposition._Scratch``, live
+for one call.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ containing it survives.
 
 from __future__ import annotations
 
-import itertools
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -196,20 +196,43 @@ def _next_layout(k: int, enf_positions: tuple, unav_outside: tuple) -> list:
     commits to an enforceable step when its whole coalition picks that
     step's index, and to the unavoidable step selected by the co-sum of the
     responders' choices when every agent outside its coalition responds.
-    Groups come in first-vector order, vectors in lexicographic order.
+    The vectors are built agent by agent, each carrying its enforceable
+    commits, narrowed by an AND-mask per (agent, action), its responders
+    as a bitmask and its running co-sum.  Groups come in first-vector
+    order, vectors in lexicographic order.
     """
     m, l = len(enf_positions), len(unav_outside)
-    all_positions = frozenset(range(k))
+    actions = range(m + l)
+    # keep[i][a]: the enforceable steps that agent ``i`` playing ``a`` leaves
+    # committable, those it is outside of or whose index it picks.
+    keep = [
+        [
+            sum(
+                1 << p
+                for p, positions in enumerate(enf_positions)
+                if a == p or i not in positions
+            )
+            for a in actions
+        ]
+        for i in range(k)
+    ]
+    outside = [sum(1 << i for i in positions) for positions in unav_outside]
+    # (vector so far, enforceable commits, responders, co-sum)
+    partial = [((), (1 << m) - 1, 0, 0)]
+    for i in range(k):
+        row, bit = keep[i], 1 << i
+        partial = [
+            (sigma + (a,), key & row[a], responders | bit, co + a - m)
+            if a >= m
+            else (sigma + (a,), key & row[a], responders, co)
+            for sigma, key, responders, co in partial
+            for a in actions
+        ]
     cells: dict[int, list[tuple[int, ...]]] = {}
-    for sigma in itertools.product(range(m + l), repeat=k):
-        key = 0
-        for p, positions in enumerate(enf_positions):
-            if all(sigma[i] == p for i in positions):
-                key |= 1 << p
+    for sigma, key, responders, co in partial:
         if l:
-            responders = {i for i in all_positions if sigma[i] >= m}
-            co = sum(sigma[i] - m for i in responders) % l
-            if unav_outside[co] <= responders:
+            co %= l
+            if not outside[co] & ~responders:
                 key |= 1 << (m + co)
         cells.setdefault(key, []).append(sigma)
     return [(key, tuple(sigmas)) for key, sigmas in cells.items()]
@@ -401,13 +424,26 @@ def decide(
     universe: tuple[int, ...],
     max_closure: int = DEFAULT_CLOSURE_LIMIT,
 ) -> Decision:
-    """Run the full pipeline on a normal-form state formula."""
-    closure(f, max_closure)
-    tab = build_pretableau(f, universe)
-    n_states = len(tab.states)
-    n_prestates = len(tab.prestates)
-    eliminate_states(tab)
-    sat = bool(tab.satisfying_states())
+    """Run the full pipeline on a normal-form state formula.
+
+    The cyclic garbage collector is paused for the length of the call and
+    left as the caller had it.  Everything the call allocates dies by
+    reference count or stays reachable from the result, so a collection
+    during it finds nothing to free; yet the tableau's many new objects
+    would trigger passes that traverse all of them, a cost per node.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        closure(f, max_closure)
+        tab = build_pretableau(f, universe)
+        n_states = len(tab.states)
+        n_prestates = len(tab.prestates)
+        eliminate_states(tab)
+        sat = bool(tab.satisfying_states())
+    finally:
+        if enabled:
+            gc.enable()
     return Decision(
         formula=f,
         universe=universe,

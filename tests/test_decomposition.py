@@ -25,13 +25,16 @@ from atlplus.tableau import build_pretableau
 from atlplus.syntax import (
     FALSE,
     TRUE,
+    Always,
     And,
     FormulaClass,
     Lit,
+    Next,
     Or,
     PAnd,
     POr,
     StateFormula,
+    Until,
     always,
     conj,
     disj,
@@ -473,10 +476,10 @@ def _reference_canon_path(parts, node_cls, unit, absorber, mk, state_ops):
 
 def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
     canon_state = decomposition._canon_state
+    conj_join = decomposition._conj_join
     join = decomposition._join
     calls = {And: 0, PAnd: 0, POr: 0}
     refs = {
-        conj: (And, (And, TRUE, FALSE, conj)),
         pand: (PAnd, (PAnd, TRUE, FALSE, pand, (And, TRUE, FALSE, conj))),
         por: (POr, (POr, FALSE, TRUE, por, (Or, FALSE, TRUE, disj))),
     }
@@ -488,18 +491,21 @@ def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
         calls[And] += 1
         return got
 
-    def checked_join(mk, unit, left, right, order):
-        got = join(mk, unit, left, right, order)
+    def checked_conj_join(left, right):
+        got = conj_join(left, right)
+        assert got is _reference_canon_state([left, right], And, TRUE, FALSE, conj)
+        calls[And] += 1
+        return got
+
+    def checked_join(mk, unit, left, right):
+        got = join(mk, unit, left, right)
         node_cls, ref = refs[mk]
-        parts = [left[0], right[0]]
-        if node_cls is And:
-            assert got is _reference_canon_state(parts, *ref)
-        else:
-            assert got is _reference_canon_path(parts, *ref)
+        assert got is _reference_canon_path([left[0], right[0]], *ref)
         calls[node_cls] += 1
         return got
 
     monkeypatch.setattr(decomposition, "_canon_state", checked_state)
+    monkeypatch.setattr(decomposition, "_conj_join", checked_conj_join)
     monkeypatch.setattr(decomposition, "_join", checked_join)
     monkeypatch.setattr(decomposition, "_DEC_CACHE", {})
     monkeypatch.setattr(decomposition, "_GAMMA_CACHE", {})
@@ -574,15 +580,41 @@ _PATHS = hst.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_PATHS)
-def test_dec_merge_matches_the_per_pair_reference(p):
+def _count_prefix_folds(monkeypatch):
+    """Count the now-part joins that fold onto a proper prefix of the left
+    now-part, read off its spine.  The caches start empty, so every ``dec``
+    runs."""
+    counts = {"prefix folds": 0}
+    conj_prefix = decomposition._conj_prefix
+
+    def counted_conj_prefix(node, first):
+        got = conj_prefix(node, first)
+        if got is not None and got[1] and got[0] is not TRUE:
+            counts["prefix folds"] += 1
+        return got
+
+    monkeypatch.setattr(decomposition, "_conj_prefix", counted_conj_prefix)
+    monkeypatch.setattr(decomposition, "_DEC_CACHE", {})
+    monkeypatch.setattr(decomposition, "_GAMMA_CACHE", {})
+    return counts
+
+
+def test_dec_merge_matches_the_per_pair_reference(monkeypatch):
     """Units, duplicate atoms and ``X`` payloads of any shape included."""
-    _assert_dec_matches_reference(p)
+    counts = _count_prefix_folds(monkeypatch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PATHS)
+    def check(p):
+        _assert_dec_matches_reference(p)
+
+    check()
+    assert counts["prefix folds"] > 0
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_dec_merge_matches_the_reference_on_shuffled_untils(n):
+def test_dec_merge_matches_the_reference_on_shuffled_untils(n, monkeypatch):
+    counts = _count_prefix_folds(monkeypatch)
     goals = [f"p{i} U q{i}" for i in range(n)]
     rng = random.Random(n)
     for _ in range(3):
@@ -590,6 +622,37 @@ def test_dec_merge_matches_the_reference_on_shuffled_untils(n):
         f = nnf("<<1>>(" + " & ".join(goals) + ")")
         _assert_dec_matches_reference(f.path)
         assert len(dec(f.path)) == 2**n
+    # Two untils always merge their now-parts at an end; from three on,
+    # some merge inside.
+    assert counts["prefix folds"] > 0 or n < 3
+
+
+def _reference_realized_now(p, label):
+    """The recursive definition of ``realized_now``: the reference for the
+    flattened test it reads."""
+    t = type(p)
+    if t is PAnd:
+        return _reference_realized_now(p.lhs, label) and _reference_realized_now(
+            p.rhs, label
+        )
+    if t is POr:
+        return _reference_realized_now(p.lhs, label) or _reference_realized_now(
+            p.rhs, label
+        )
+    if t is Until:
+        return holds_locally(p.rhs, label)
+    if t is Always:
+        return holds_locally(p.state, label)
+    if t is Next:
+        return False
+    return holds_locally(p, label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PATHS, hst.sets(_STATES, max_size=4))
+def test_realized_now_matches_the_recursive_reference(p, label):
+    label = frozenset(label)
+    assert realized_now(p, label) is _reference_realized_now(p, label)
 
 
 def test_canonicalization_flattens_a_deep_chain():

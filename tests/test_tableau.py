@@ -1,5 +1,6 @@
 """Pretableau construction, elimination, and satisfiability verdicts."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from atlplus.decomposition import realized_now
+from atlplus.decomposition import ClosureLimitError, closure, realized_now
 from atlplus.randgen import GenConfig, random_corpus
 from atlplus.syntax import (
     SUCCESSOR,
@@ -616,7 +617,6 @@ def test_cells_partition_the_action_box(seed):
 def test_labels_are_subsets_of_the_closure(seed):
     # Labels live in the input's closure, except for the trivial successor
     # formula patched into successor-free states.
-    from atlplus.decomposition import closure
     from atlplus.tableau import _unconditional_step
 
     (raw,) = random_corpus(seed, 1, GenConfig(max_size=10))
@@ -635,3 +635,26 @@ def test_decide_is_deterministic():
         sorted(g.key for g in s.label) for s in d2.tableau.states
     ]
     assert d1.tableau.elimination_trace == d2.tableau.elimination_trace
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_decide_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    during = []
+
+    def recording_closure(f, limit):
+        during.append(gc.isenabled())
+        return closure(f, limit)
+
+    monkeypatch.setattr("atlplus.tableau.closure", recording_closure)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(OPEN, UNIVERSE).sat
+        assert gc.isenabled() is enabled
+        f = to_nnf(parse(OPEN), UNIVERSE)
+        with pytest.raises(ClosureLimitError):
+            decide(f, UNIVERSE, max_closure=4)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
