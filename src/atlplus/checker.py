@@ -65,8 +65,8 @@ def _collect_atoms(path: Formula) -> tuple[Formula, ...]:
 
     def walk(p: Formula) -> None:
         if isinstance(p, (PAnd, POr)):
-            walk(p.lhs)
-            walk(p.rhs)
+            for q in p.operands:
+                walk(q)
         elif isinstance(p, _ATOM_TYPES):
             atoms[p] = None
         else:
@@ -164,19 +164,9 @@ class ModelChecker:
         elif isinstance(f, Not):
             out = self.all_states - self._eval(f.sub, memo)
         elif isinstance(f, (And, Or)):
-            # Down the left spine of a chain of one connective to its first
-            # node not yet evaluated, then back up, memoizing every node.
-            t = type(f)
-            spine = [f]
-            g = f.lhs
-            while type(g) is t and g not in memo:
-                spine.append(g)
-                g = g.lhs
-            out = self._eval(g, memo)
-            for node in reversed(spine):
-                rhs = self._eval(node.rhs, memo)
-                out = out & rhs if t is And else out | rhs
-                memo[node] = out
+            parts = [self._eval(g, memo) for g in f.operands]
+            join = frozenset.intersection if isinstance(f, And) else frozenset.union
+            out = join(*parts)
         elif isinstance(f, Implies):
             out = (self.all_states - self._eval(f.lhs, memo)) | self._eval(
                 f.rhs, memo
@@ -220,9 +210,9 @@ class ModelChecker:
         def path_value(v: tuple[int, ...]) -> bool:
             def ev(p: Formula) -> bool:
                 if isinstance(p, PAnd):
-                    return ev(p.lhs) and ev(p.rhs)
+                    return all(map(ev, p.operands))
                 if isinstance(p, POr):
-                    return ev(p.lhs) or ev(p.rhs)
+                    return any(map(ev, p.operands))
                 status = v[index[p]]
                 if status == _PENDING:
                     return limit_true[index[p]]

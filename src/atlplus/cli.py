@@ -266,8 +266,9 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     )
 
     normal = prepare(_SAT_GOLDEN).normal
-    left_pairs = dec(normal.lhs.path)
-    right_pairs = dec(normal.rhs.path)
+    left, right = normal.operands
+    left_pairs = dec(left.path)
+    right_pairs = dec(right.path)
     checks.append(
         (
             "path decomposition of the golden operands yields 4 and 2 pairs",

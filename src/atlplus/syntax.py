@@ -18,10 +18,11 @@ Formulas are hash-consed: building the same shape twice returns the same
 object, so equality is identity and formula sets are cheap.  Each formula
 carries a canonical ``key`` string that serves as a stable total order, and
 each state formula of the normal form its tableau class as ``kind``.  One
-rule builds every binary Boolean join, and one explicit-stack walk,
-:func:`iter_subformulas`, visits every node for the helpers that read a
-whole formula.  The walkers that recurse loop instead down the left spine
-of a long ``&``/``|`` chain, which the parser builds flat.
+rule builds every Boolean join, of any number of parts, as one node with a
+sorted tuple of operands, so a chain of one connective is one node and
+joins equal up to associativity, commutativity and idempotence are the
+same node.  One explicit-stack walk, :func:`iter_subformulas`, visits every
+node for the helpers that read a whole formula.
 The one intern table, which holds every node, is this module's only
 shared mutable state (guarded by the GIL); all operations are otherwise
 pure functions of their inputs.  The process-wide tables of the package:
@@ -36,8 +37,8 @@ pure functions of their inputs.  The process-wide tables of the package:
 
 The formula-keyed ones key by interned node, so by identity.  No code
 iterates one of them, so none decides an order that reaches an output.
-Memos that serve one formula, such as ``decomposition._Scratch``, live
-for one call.
+Memos that serve one formula, such as the successor steps that
+``decomposition.closure`` derives, live for one call.
 """
 
 from __future__ import annotations
@@ -135,12 +136,18 @@ class Lit(StateFormula):
 
 
 class And(StateFormula):
-    __slots__ = ("lhs", "rhs")
+    """A Boolean join, as are ``Or``, ``PAnd`` and ``POr``: ``operands`` is
+    a tuple of at least two distinct operands in key order, none of the
+    node's own class.  A ``PAnd`` (``POr``) has at most one state operand,
+    the ``And`` (``Or``) of its state parts, so equal joins up to
+    associativity, commutativity and idempotence are one node."""
+
+    __slots__ = ("operands",)
     kind = ALPHA
 
 
 class Or(StateFormula):
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("operands",)
     kind = BETA
 
 
@@ -193,11 +200,11 @@ class Release(PathFormula):
 
 
 class PAnd(PathFormula):
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("operands",)
 
 
 class POr(PathFormula):
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("operands",)
 
 
 # ---------------------------------------------------------------------------
@@ -323,50 +330,85 @@ def release(lhs: StateFormula, rhs: StateFormula) -> Release:
     return _mk(Release, f"({lhs.key} R {rhs.key})", lhs, rhs)
 
 
-def _join(name: str, op: str, unit: Formula, absorber: Formula,
-          state_cls: type, path_cls: type | None, doc: str):
-    """The canonical binary join, the one rule behind ``conj``, ``disj``,
-    ``pand`` and ``por``: the unit folds away, the absorber absorbs, equal
-    operands merge and the operands sit in key order.  A path join
-    (``path_cls`` set) of two state formulas is their state join."""
+def _join(name: str, op: str, unit: Formula, absorber: Formula, cls: type,
+          state_join=None, doc: str = ""):
+    """The one Boolean join rule behind ``conj``, ``disj``, ``pand`` and
+    ``por``, over any number of parts: a ``cls`` part gives its operands,
+    the unit folds away, the absorber absorbs, equal operands merge and the
+    operands sit in key order; a join of one operand is that operand.  A
+    path join (``state_join`` set) joins its state operands by
+    ``state_join`` into one operand, so a join of state formulas alone is
+    their state join."""
 
-    def join(a, b):
-        if a is unit:
-            return b
-        if b is unit:
-            return a
-        if a is absorber or b is absorber:
-            return absorber
-        if a is b:
-            return a
-        if b.key < a.key:
-            a, b = b, a
-        key = f"({a.key}{op}{b.key})"
-        node = _TABLE.get(key)
-        if node is None:
-            cls = state_cls
-            if path_cls is not None and not (
-                isinstance(a, StateFormula) and isinstance(b, StateFormula)
-            ):
-                cls = path_cls
-            node = _mk(cls, key, a, b)
-        return node
+    def join(a=unit, b=unit, *more):
+        # Missing parts are the unit; two parts, the common case, skip the
+        # general rule below when neither is a ``cls`` node.
+        if not more:
+            if a is unit or b is absorber:
+                return b
+            if b is unit or a is absorber:
+                return a
+            if a is b:
+                return a
+            if type(a) is not cls and type(b) is not cls:
+                if b.key < a.key:
+                    a, b = b, a
+                key = f"({a.key}{op}{b.key})"
+                node = _TABLE.get(key)
+                if node is not None:
+                    return node
+                if state_join is not None and (
+                    isinstance(a, StateFormula) and isinstance(b, StateFormula)
+                ):
+                    return state_join(a, b)
+                return _mk(cls, key, (a, b))
+        parts = (a, b, *more)
+        # The distinct operands by key, which interning makes one per node.
+        keyed = {}
+        if state_join is not None:
+            states = []
+            for part in parts:
+                for g in part.operands if type(part) is cls else (part,):
+                    if isinstance(g, StateFormula):
+                        states.append(g)
+                    else:
+                        keyed[g.key] = g
+            if states:
+                state = state_join(*states)
+                if not keyed or state is absorber:
+                    return state
+                if state is not unit:
+                    keyed[state.key] = state
+        else:
+            for part in parts:
+                if type(part) is cls:
+                    for g in part.operands:
+                        keyed[g.key] = g
+                elif part is absorber:
+                    return absorber
+                elif part is not unit:
+                    keyed[part.key] = part
+        if len(keyed) < 2:
+            return keyed.popitem()[1] if keyed else unit
+        keys = sorted(keyed)
+        key = "(" + op.join(keys) + ")"
+        return _TABLE.get(key) or _mk(cls, key, tuple(map(keyed.__getitem__, keys)))
 
     join.__name__ = join.__qualname__ = name
     join.__doc__ = doc
     return join
 
 
-conj = _join("conj", " & ", TRUE, FALSE, And, None,
-             "Binary conjunction with unit/absorber folding and sorted operands.")
-disj = _join("disj", " | ", FALSE, TRUE, Or, None,
-             "Binary disjunction with unit/absorber folding and sorted operands.")
-pand = _join("pand", " & ", TRUE, FALSE, And, PAnd,
-             "Path conjunction: the ``conj`` of two state formulas, otherwise a"
-             " ``PAnd`` with the same folding and operand order as ``conj``.")
-por = _join("por", " | ", FALSE, TRUE, Or, POr,
-            "Path disjunction: the ``disj`` of two state formulas, otherwise a"
-            " ``POr`` with the same folding and operand order as ``disj``.")
+conj = _join("conj", " & ", TRUE, FALSE, And,
+             doc="Conjunction of any number of state formulas.")
+disj = _join("disj", " | ", FALSE, TRUE, Or,
+             doc="Disjunction of any number of state formulas.")
+pand = _join("pand", " & ", TRUE, FALSE, PAnd, conj,
+             doc="Path conjunction: the ``conj`` of state formulas alone, otherwise"
+             " a ``PAnd`` whose one state operand is the ``conj`` of its state parts.")
+por = _join("por", " | ", FALSE, TRUE, POr, disj,
+            doc="Path disjunction: the ``disj`` of state formulas alone, otherwise"
+            " a ``POr`` whose one state operand is the ``disj`` of its state parts.")
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +436,23 @@ def mentioned_props(f: StateFormula) -> frozenset[str]:
     return frozenset(g.name for g in iter_subformulas(f) if isinstance(g, Lit))
 
 
-_BINARY = frozenset({And, Or, Implies, Until, Release, PAnd, POr})
+_JOIN_TYPES = frozenset({And, Or, PAnd, POr})
+_BINARY = frozenset({Implies, Until, Release})
 _UNARY = frozenset({Next, Always, Sometime})
 
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
     """Yield ``f`` and every node nested anywhere inside it, state and path,
-    in pre-order; one explicit stack keeps deep nesting and long chains off
-    the call stack."""
+    in pre-order; one explicit stack keeps deep nesting off the call
+    stack."""
     stack: list[Formula] = [f]
     while stack:
         g = stack.pop()
         yield g
         t = type(g)
-        if t in _BINARY:
+        if t in _JOIN_TYPES:
+            stack += reversed(g.operands)
+        elif t in _BINARY:
             stack += (g.rhs, g.lhs)
         elif t in _UNARY:
             stack.append(g.state)
@@ -457,17 +502,8 @@ def _normal_form(
                 return conj(ns(g.lhs, False), ns(g.rhs, True))
             return disj(ns(g.lhs, True), ns(g.rhs, False))
         if t is And or t is Or:
-            # Down the left spine of a chain of one connective, then back up:
-            # the joins recursion would make, in its order, without its depth.
             mk = conj if (t is And) != neg else disj
-            rights = []
-            while type(g) is t:
-                rights.append(g.rhs)
-                g = g.lhs
-            out = ns(g, neg)
-            for rhs in reversed(rights):
-                out = mk(out, ns(rhs, neg))
-            return out
+            return mk(*[ns(h, neg) for h in g.operands])
         if t is Enf or t is Unav:
             if not set(g.coalition) <= uset:
                 extra = sorted(set(g.coalition) - uset)
@@ -499,7 +535,7 @@ def _normal_form(
             return por(always(rhs), until(rhs, conj(rhs, lhs)))
         if t is PAnd or t is POr:
             mk = pand if (t is PAnd) != neg else por
-            return mk(np(p.lhs, neg), np(p.rhs, neg))
+            return mk(*[np(q, neg) for q in p.operands])
         raise FormulaError(f"not a path formula: {p!r}")
 
     return ns(f, negated)
@@ -518,7 +554,8 @@ def is_nnf(f: Formula) -> bool:
 
 
 def formula_size(f: StateFormula, universe: tuple[int, ...] | None = None) -> int:
-    """Symbol count; each coalition costs one bit per universe agent."""
+    """Symbol count; each coalition costs one bit per universe agent, and a
+    join of n operands n - 1 connectives."""
     if universe is None:
         universe = default_universe(f)
     k = len(universe)
@@ -532,7 +569,9 @@ def formula_size(f: StateFormula, universe: tuple[int, ...] | None = None) -> in
             return 1 + size(g.sub)
         if isinstance(g, (Next, Always, Sometime)):
             return 1 + size(g.state)
-        if isinstance(g, (And, Or, Implies, Until, Release, PAnd, POr)):
+        if isinstance(g, (And, Or, PAnd, POr)):
+            return len(g.operands) - 1 + sum(map(size, g.operands))
+        if isinstance(g, (Implies, Until, Release)):
             return 1 + size(g.lhs) + size(g.rhs)
         if isinstance(g, (Enf, Unav)):
             return 1 + k + size(g.path)
@@ -558,7 +597,7 @@ def boolean_depth(f: StateFormula) -> int:
 
 def _superficial_depth(p: Formula) -> int:
     if isinstance(p, (PAnd, POr)):
-        return 1 + max(_superficial_depth(p.lhs), _superficial_depth(p.rhs))
+        return 1 + max(map(_superficial_depth, p.operands))
     return 0
 
 
@@ -590,9 +629,7 @@ _KEYWORDS = {"true", "false", "U", "R", "X", "G", "F"}
 # Deepest nesting of '~', 'X'/'G'/'F', quantifier operands, parentheses and
 # right-nested '->' the parser accepts.  Later stages walk that nesting
 # recursively, so deeper input is refused up front.  A flat '&'/'|' chain is
-# not nesting: the parser builds it iteratively and is not limited by it.
-# The node walk, normal form, the printer, ``holds_locally`` and the oracle
-# loop down a chain's left spine, so long state chains are decided.
+# not nesting: it is one join node, whatever its length.
 MAX_NESTING_DEPTH = 100
 
 
@@ -674,18 +711,18 @@ class _Parser:
         return lhs
 
     def parse_or(self) -> Formula:
-        node = self.parse_and()
+        parts = [self.parse_and()]
         while self.peek().kind == "pipe":
             self.take()
-            node = por(node, self.parse_and())
-        return node
+            parts.append(self.parse_and())
+        return parts[0] if len(parts) == 1 else por(*parts)
 
     def parse_and(self) -> Formula:
-        node = self.parse_until()
+        parts = [self.parse_until()]
         while self.peek().kind == "amp":
             self.take()
-            node = pand(node, self.parse_until())
-        return node
+            parts.append(self.parse_until())
+        return parts[0] if len(parts) == 1 else pand(*parts)
 
     def parse_until(self) -> Formula:
         node = self.parse_unary()
@@ -831,16 +868,10 @@ _TEMPORAL = {Next: "X ", Always: "G ", Sometime: "F ", Until: " U ", Release: " 
 
 
 def _print_join(f: Formula, parent: int, operand) -> str:
-    """A chain of one Boolean connective, printed down its left spine: the
-    left operand at the connective's own level needs no parentheses."""
-    t = type(f)
-    op, prec = _JOINS[t]
-    parts = []
-    while type(f) is t:
-        parts.append(operand(f.rhs, prec + 1))
-        f = f.lhs
-    parts.append(operand(f, prec))
-    return _wrap(op.join(reversed(parts)), prec, parent)
+    """A Boolean join: an operand at the join's own level needs no
+    parentheses, since the parser joins it back."""
+    op, prec = _JOINS[type(f)]
+    return _wrap(op.join([operand(g, prec) for g in f.operands]), prec, parent)
 
 
 def _print_path(p: Formula, parent: int) -> str:

@@ -452,14 +452,14 @@ def validate_hintikka(model: CGM, universe: tuple[int, ...]) -> list[str]:
         for f in ordered[s]:
             kind = f.kind
             if kind is ALPHA:
-                for part in (f.lhs, f.rhs):
+                for part in f.operands:
                     if part not in label:
                         violations.append(
                             f"H2 violated at state {sid}: {to_text(f)} lacks"
                             f" conjunct {to_text(part)}"
                         )
             elif kind is BETA:
-                if f.lhs not in label and f.rhs not in label:
+                if label.isdisjoint(f.operands):
                     violations.append(
                         f"H3 violated at state {sid}: no disjunct of"
                         f" {to_text(f)} present"

@@ -108,8 +108,8 @@ def test_a3_decomposition_goldens(capsys):
         "path decomposition of the golden operands: 4 and 2 frozen pairs",
     ):
         f = to_nnf(parse(OPEN), (1, 2))
-        left = dec(f.lhs.path)
-        right = dec(f.rhs.path)
+        left = dec(f.operands[0].path)
+        right = dec(f.operands[1].path)
 
         def pair_text(p):
             later = "DONE" if p.later.key == "true" else p.later.key

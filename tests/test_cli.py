@@ -138,9 +138,39 @@ OR_CHAIN = " | ".join(f"p{i}" for i in range(2000))
     ids=["and", "or", "always", "until"],
 )
 def test_check_decides_long_flat_chains(capsys, text):
-    # A flat chain is not nesting: the walkers loop down its left spine.
+    # A flat chain is not nesting: it is one join node, whatever its length.
     assert run_cli("check", text) == 0
     assert capsys.readouterr().out.endswith("verdict: SAT\n")
+
+
+def _chain(n, op=" & ", template="p{}"):
+    return op.join(template.format(i) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (_chain(10_000), 0),
+        (_chain(10_000, " | "), 0),
+        (f"<<1>>({_chain(10_000, template='X p{}')})", 0),
+        (f"<<1>>({_chain(10_000, template='X p{}')} & X ~p0)", 1),
+    ],
+    ids=["and", "or", "path", "path-unsat"],
+)
+def test_check_decides_ten_thousand_conjunct_state_and_path_chains(capsys, text, code):
+    assert run_cli("check", text) == code
+    verdict = "SAT" if code == 0 else "UNSAT"
+    assert capsys.readouterr().out.endswith(f"verdict: {verdict}\n")
+
+
+def test_synth_and_verify_a_thousand_conjunct_path_chain(tmp_path, capsys):
+    text = f"<<1>>({_chain(1_000, template='X p{}')})"
+    model = tmp_path / "chain.json"
+    assert run_cli("synth", text, "--json-model", str(model)) == 0
+    assert "oracle:" in capsys.readouterr().err
+    assert run_cli("verify", str(model), text) == 0
+    out = capsys.readouterr().out
+    assert "hintikka: pass (H1-H6)" in out and "holds at state" in out
 
 
 # Every token of the grammar, over at most two agents.
@@ -161,6 +191,18 @@ token_texts = hst.lists(hst.sampled_from(FUZZ_TOKENS), max_size=14).map(" ".join
 
 
 @hst.composite
+def chain_texts(draw):
+    """A state chain of ``&`` or ``|``, or a path chain of ``&`` under a
+    quantifier, of up to 10,000 conjuncts, at times with a clashing one."""
+    n = draw(hst.integers(2, 10_000))
+    op, template = draw(hst.sampled_from([(" & ", "p{}"), (" | ", "p{}"), (" & ", "X p{}")]))
+    text = _chain(n, op, template)
+    if draw(hst.booleans()):
+        text += op + template.format(draw(hst.integers(0, n - 1))).replace("p", "~p")
+    return f"<<1>>({text})" if template.startswith("X") else text
+
+
+@hst.composite
 def nested_texts(draw):
     opener, closer, levels = draw(hst.sampled_from(NESTERS))
     n = MAX_NESTING_DEPTH // levels + draw(hst.integers(-2, 1))
@@ -169,7 +211,7 @@ def nested_texts(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(hst.sampled_from(["check", "synth"]), token_texts | nested_texts())
+@given(hst.sampled_from(["check", "synth"]), token_texts | nested_texts() | chain_texts())
 def test_exit_code_contract_holds_for_any_text(command, text):
     """Exit 0, 1 or 2 only, and 1 only for an unsatisfiable formula."""
     out, err = io.StringIO(), io.StringIO()

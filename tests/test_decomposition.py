@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from atlplus import decomposition
 from atlplus.decomposition import (
     ClosureLimitError,
-    _canon_state,
-    _flatten,
-    _pair,
+    DecPair,
     closure,
     dec,
     full_expansions,
@@ -135,7 +132,7 @@ def test_dec_deduplicates_identical_conjuncts():
 
 def test_state_formulas_sit_in_path_positions_directly():
     f = parse("<<1>>(p & X q)")
-    assert isinstance(f.path, PAnd) and f.path.rhs is P
+    assert isinstance(f.path, PAnd) and f.path.operands == (pnext(Q), P)
     assert to_text(f) == "<<1>>(X q & p)"
     assert pand(P, Q) is conj(P, Q) and por(P, Q) is disj(P, Q)
     s = parse("p | <<1>>G q")
@@ -160,12 +157,12 @@ def test_gamma_components_golden_rendered_forms():
         "<<1>>X <<1>>G q & q",
         "<<1>>X <<1>>p U q & p",
         "q",
-        "p & q & <<1>>X <<1>>(G q | p U q)",
+        "<<1>>X <<1>>(G q | p U q) & p & q",
     ]
     h = nnf("[[2]](F p & G ~q)", (1, 2))
     assert [to_text(c.rendered) for c in gamma_components(h)] == [
         "[[2]]X [[2]](G ~q & true U p) & ~q",
-        "p & ~q & [[2]]X [[2]]G ~q",
+        "[[2]]X [[2]]G ~q & p & ~q",
     ]
 
 
@@ -225,17 +222,13 @@ def test_holds_locally_modulo_tree_shape():
 
 
 def _recursive_holds_locally(g, label):
-    """The recursive definition the spine loop of ``holds_locally`` keeps."""
+    """The recursive definition of ``holds_locally``, by ``all``/``any``."""
     if g is TRUE or g in label:
         return True
     if g.kind is FormulaClass.ALPHA:
-        return _recursive_holds_locally(g.lhs, label) and _recursive_holds_locally(
-            g.rhs, label
-        )
+        return all(_recursive_holds_locally(h, label) for h in g.operands)
     if g.kind is FormulaClass.BETA:
-        return _recursive_holds_locally(g.lhs, label) or _recursive_holds_locally(
-            g.rhs, label
-        )
+        return any(_recursive_holds_locally(h, label) for h in g.operands)
     return False
 
 
@@ -250,10 +243,9 @@ def test_holds_locally_loops_down_long_chains():
     assert holds_locally(disjunction, frozenset({ps[0]}))
     assert holds_locally(disjunction, frozenset({ps[-1]}))
     assert not holds_locally(disjunction, frozenset({P}))
-    # A spine node that is itself in the label holds, whatever lies below.
-    prefix = conjunction.lhs.lhs
-    assert holds_locally(conjunction, frozenset({prefix, ps[-2], ps[-1]}))
-    assert not holds_locally(conjunction, frozenset({prefix, ps[-1]}))
+    # A chain is one node: in the label, it holds whatever its conjuncts.
+    assert holds_locally(conjunction, frozenset({conjunction}))
+    assert holds_locally(conj(disjunction, Q), frozenset({ps[-1], Q}))
 
 
 def test_holds_locally_matches_the_recursive_definition():
@@ -325,7 +317,7 @@ def test_closure_is_closed_under_components():
         for g in cl:
             kind = g.kind
             if kind in (FormulaClass.ALPHA, FormulaClass.BETA):
-                assert g.lhs in cl and g.rhs in cl
+                assert set(g.operands) <= cl
             elif kind is FormulaClass.GAMMA:
                 for c in gamma_components(g):
                     assert c.rendered in cl
@@ -413,9 +405,9 @@ def test_full_expansions_are_saturated(seed):
         for g in label:
             kind = g.kind
             if kind is FormulaClass.ALPHA:
-                assert g.lhs in label and g.rhs in label
+                assert label.issuperset(g.operands)
             elif kind is FormulaClass.BETA:
-                assert g.lhs in label or g.rhs in label
+                assert not label.isdisjoint(g.operands)
             elif kind is FormulaClass.GAMMA:
                 assert any(c.rendered in label for c in gamma_components(g))
         for g in label:
@@ -425,17 +417,18 @@ def test_full_expansions_are_saturated(seed):
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization against the recursive reference
+# dec against the per-pair reference
 
 
 def _reference_canon_state(parts, node_cls, unit, absorber, mk):
-    """The recursive canonicalizer the flatten-and-fold one replaced."""
+    """The recursive canonicalizer of a state join: flatten, drop the unit,
+    absorb, deduplicate, and fold by ``mk`` in key order."""
     flat = {}
 
     def add(g):
         if isinstance(g, node_cls):
-            add(g.lhs)
-            add(g.rhs)
+            for h in g.operands:
+                add(h)
         elif g is not unit:
             flat[g] = None
 
@@ -449,107 +442,56 @@ def _reference_canon_state(parts, node_cls, unit, absorber, mk):
     return out
 
 
-def _reference_canon_path(parts, node_cls, unit, absorber, mk, state_ops):
-    def flatten(p):
-        if isinstance(p, node_cls):
-            yield from flatten(p.lhs)
-            yield from flatten(p.rhs)
-        else:
-            yield p
-
-    temporal = {}
-    state_atoms = []
-    for part in parts:
-        for atom in flatten(part):
-            if isinstance(atom, StateFormula):
-                state_atoms.append(atom)
-            else:
-                temporal[atom] = None
-    state_part = _reference_canon_state(state_atoms, *state_ops)
-    if state_part is absorber:
-        return absorber
-    out = state_part
-    for p in sorted(temporal, key=lambda x: x.key):
-        out = mk(out, p)
-    return out
-
-
-def test_canonicalizers_return_the_reference_object_on_every_call(monkeypatch):
-    canon_state = decomposition._canon_state
-    conj_join = decomposition._conj_join
-    join = decomposition._join
-    calls = {And: 0, PAnd: 0, POr: 0}
-    refs = {
-        pand: (PAnd, (PAnd, TRUE, FALSE, pand, (And, TRUE, FALSE, conj))),
-        por: (POr, (POr, FALSE, TRUE, por, (Or, FALSE, TRUE, disj))),
-    }
-
-    def checked_state(parts):
-        parts = list(parts)
-        got = canon_state(parts)
-        assert got is _reference_canon_state(parts, And, TRUE, FALSE, conj)
-        calls[And] += 1
-        return got
-
-    def checked_conj_join(left, right):
-        got = conj_join(left, right)
-        assert got is _reference_canon_state([left, right], And, TRUE, FALSE, conj)
-        calls[And] += 1
-        return got
-
-    def checked_join(mk, unit, left, right):
-        got = join(mk, unit, left, right)
-        node_cls, ref = refs[mk]
-        assert got is _reference_canon_path([left[0], right[0]], *ref)
-        calls[node_cls] += 1
-        return got
-
-    monkeypatch.setattr(decomposition, "_canon_state", checked_state)
-    monkeypatch.setattr(decomposition, "_conj_join", checked_conj_join)
-    monkeypatch.setattr(decomposition, "_join", checked_join)
-    monkeypatch.setattr(decomposition, "_DEC_CACHE", {})
-    monkeypatch.setattr(decomposition, "_GAMMA_CACHE", {})
-    agents4_sat = (
-        "[[1]]F ~q & <<1>>(F p1 | G q) & <<4>>(F p4 | G q)"
-        " & <<2>>(F p2 | G q) & <<3>>(F p3 | G q)"
-    )
-    formulas = [parse("<<1>>(p U q | G q) & [[2]](F p & G ~q)"), parse(agents4_sat)]
-    formulas += random_corpus(7, 300, GenConfig(props=("p", "q")))
-    for raw in formulas:
-        closure(to_nnf(raw, default_universe(raw)))
-    # Now-parts and both kinds of path remainders are canonicalized.
-    assert min(calls.values()) > 0, calls
-
-
 def _reference_per_pair_path(parts, node_cls):
     """The flatten-and-fold canonicalizer ``dec`` ran on every combination
-    before it merged pre-sorted atoms."""
+    before it merged pre-sorted atoms: the state atoms folded into one
+    state part, then the temporal atoms folded onto it in key order."""
+
+    def flatten(p):
+        if isinstance(p, node_cls):
+            for q in p.operands:
+                yield from flatten(q)
+        else:
+            yield p
 
     def fold(mk, start, atoms):
         for g in sorted(atoms, key=lambda x: x.key):
             start = mk(start, g)
         return start
 
-    unit, mk, inner = (TRUE, pand, And) if node_cls is PAnd else (FALSE, por, Or)
-    atoms = _flatten(parts, node_cls, unit)
+    unit, absorber, mk, inner, state_mk = (
+        (TRUE, FALSE, pand, And, conj) if node_cls is PAnd else (FALSE, TRUE, por, Or, disj)
+    )
+    atoms = {a: None for part in parts for a in flatten(part)}
     states = [a for a in atoms if isinstance(a, StateFormula)]
-    state_part = fold(mk, unit, _flatten(states, inner, unit))
+    state_part = _reference_canon_state(states, inner, unit, absorber, state_mk)
+    if state_part is absorber:
+        return absorber
     return fold(mk, state_part, [a for a in atoms if not isinstance(a, StateFormula)])
 
 
 def _reference_dec(p):
-    """``dec`` of a ``PAnd`` or ``POr`` with each combination re-flattened
-    and re-folded from its two operand pairs."""
-    left, right = dec(p.lhs), dec(p.rhs)
+    """``dec`` of a ``PAnd`` or ``POr``: its operands' pairs folded left to
+    right by the binary rule, each combination re-flattened and re-folded
+    from its two pairs."""
     cls = type(p)
-    combined = [
-        _pair([a.now, b.now], _reference_per_pair_path([a.later, b.later], cls))
-        for a in left
-        for b in right
-        if cls is PAnd or (a.later is not TRUE and b.later is not TRUE)
-    ]
-    out = combined if cls is PAnd else list(left) + list(right) + combined
-    return tuple(dict.fromkeys(out))
+    out = None
+    for q in p.operands:
+        right = dec(q)
+        if out is None:
+            out = list(right)
+            continue
+        combined = [
+            DecPair(
+                _reference_canon_state([a.now, b.now], And, TRUE, FALSE, conj),
+                _reference_per_pair_path([a.later, b.later], cls),
+            )
+            for a in out
+            for b in right
+            if cls is PAnd or (a.later is not TRUE and b.later is not TRUE)
+        ]
+        out = list(dict.fromkeys(combined if cls is PAnd else out + list(right) + combined))
+    return tuple(out)
 
 
 def _assert_dec_matches_reference(p):
@@ -558,7 +500,7 @@ def _assert_dec_matches_reference(p):
         q = stack.pop()
         if not isinstance(q, (PAnd, POr)):
             continue
-        stack += [q.lhs, q.rhs]
+        stack += q.operands
         got, ref = dec(q), _reference_dec(q)
         assert len(got) == len(ref), q
         for g, r in zip(got, ref):
@@ -580,28 +522,8 @@ _PATHS = hst.recursive(
 )
 
 
-def _count_prefix_folds(monkeypatch):
-    """Count the now-part joins that fold onto a proper prefix of the left
-    now-part, read off its spine.  The caches start empty, so every ``dec``
-    runs."""
-    counts = {"prefix folds": 0}
-    conj_prefix = decomposition._conj_prefix
-
-    def counted_conj_prefix(node, first):
-        got = conj_prefix(node, first)
-        if got is not None and got[1] and got[0] is not TRUE:
-            counts["prefix folds"] += 1
-        return got
-
-    monkeypatch.setattr(decomposition, "_conj_prefix", counted_conj_prefix)
-    monkeypatch.setattr(decomposition, "_DEC_CACHE", {})
-    monkeypatch.setattr(decomposition, "_GAMMA_CACHE", {})
-    return counts
-
-
-def test_dec_merge_matches_the_per_pair_reference(monkeypatch):
+def test_dec_merge_matches_the_per_pair_reference():
     """Units, duplicate atoms and ``X`` payloads of any shape included."""
-    counts = _count_prefix_folds(monkeypatch)
 
     @settings(max_examples=300, deadline=None)
     @given(_PATHS)
@@ -609,12 +531,10 @@ def test_dec_merge_matches_the_per_pair_reference(monkeypatch):
         _assert_dec_matches_reference(p)
 
     check()
-    assert counts["prefix folds"] > 0
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_dec_merge_matches_the_reference_on_shuffled_untils(n, monkeypatch):
-    counts = _count_prefix_folds(monkeypatch)
+def test_dec_merge_matches_the_reference_on_shuffled_untils(n):
     goals = [f"p{i} U q{i}" for i in range(n)]
     rng = random.Random(n)
     for _ in range(3):
@@ -622,9 +542,6 @@ def test_dec_merge_matches_the_reference_on_shuffled_untils(n, monkeypatch):
         f = nnf("<<1>>(" + " & ".join(goals) + ")")
         _assert_dec_matches_reference(f.path)
         assert len(dec(f.path)) == 2**n
-    # Two untils always merge their now-parts at an end; from three on,
-    # some merge inside.
-    assert counts["prefix folds"] > 0 or n < 3
 
 
 def _reference_realized_now(p, label):
@@ -632,13 +549,9 @@ def _reference_realized_now(p, label):
     flattened test it reads."""
     t = type(p)
     if t is PAnd:
-        return _reference_realized_now(p.lhs, label) and _reference_realized_now(
-            p.rhs, label
-        )
+        return all(_reference_realized_now(q, label) for q in p.operands)
     if t is POr:
-        return _reference_realized_now(p.lhs, label) or _reference_realized_now(
-            p.rhs, label
-        )
+        return any(_reference_realized_now(q, label) for q in p.operands)
     if t is Until:
         return holds_locally(p.rhs, label)
     if t is Always:
@@ -653,12 +566,3 @@ def _reference_realized_now(p, label):
 def test_realized_now_matches_the_recursive_reference(p, label):
     label = frozenset(label)
     assert realized_now(p, label) is _reference_realized_now(p, label)
-
-
-def test_canonicalization_flattens_a_deep_chain():
-    literals = [lit(f"p{i}") for i in range(1500)]
-    chain = literals[0]
-    for g in literals[1:]:
-        chain = conj(chain, g)
-    canon = _canon_state([chain])
-    assert _flatten([canon], And, TRUE) == set(literals)

@@ -74,6 +74,7 @@ def _connectives(f):
             child = getattr(g, attr, None)
             if child is not None:
                 stack.append(child)
+        stack.extend(getattr(g, "operands", ()))
     return seen
 
 
@@ -115,6 +116,7 @@ def _walk_states(f):
             child = getattr(g, attr, None)
             if child is not None:
                 stack.append(child)
+        stack.extend(getattr(g, "operands", ()))
     return out
 
 

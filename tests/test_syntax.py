@@ -45,8 +45,10 @@ from atlplus.syntax import (
     pand,
     parse,
     pnext,
+    por,
     to_nnf,
     to_text,
+    unav,
     until,
     _superficial_depth,
 )
@@ -278,6 +280,8 @@ def _recursive_subformulas(g, out):
     for name in ("sub", "path", "state", "lhs", "rhs"):
         if hasattr(g, name):
             _recursive_subformulas(getattr(g, name), out)
+    for h in getattr(g, "operands", ()):
+        _recursive_subformulas(h, out)
     return out
 
 
@@ -291,12 +295,13 @@ def test_iter_subformulas_yields_the_recursive_pre_order():
 
 
 def test_normal_form_and_printer_loop_down_long_flat_chains():
-    text = " & ".join(f"p{i}" for i in range(2000))
+    names = [f"p{i}" for i in range(2000)]
+    text = " & ".join(names)
     f = parse(text)
     assert is_nnf(f) and to_nnf(f, (1,)) is f
-    assert to_text(f) == text
+    assert to_text(f) == " & ".join(sorted(names))
     g = negate(f, (1,))
-    assert to_text(g) == " | ".join(f"~p{i}" for i in range(2000))
+    assert to_text(g) == " | ".join(sorted(f"~{name}" for name in names))
     assert negate(g, (1,)) is f
     assert parse(to_text(g)) is g
     h = parse(f"<<1>>G ({text}) | <<1>>(q U ({to_text(g)}))")
@@ -423,7 +428,7 @@ def _recursive_boolean_depth(f):
 
     def depth_state(g):
         if isinstance(g, (And, Or)):
-            return max(depth_state(g.lhs), depth_state(g.rhs))
+            return max(map(depth_state, g.operands))
         if isinstance(g, (Enf, Unav)):
             return max(_superficial_depth(g.path), depth_path_states(g.path))
         return 0
@@ -436,7 +441,7 @@ def _recursive_boolean_depth(f):
         if isinstance(p, Until):
             return max(depth_state(p.lhs), depth_state(p.rhs))
         if isinstance(p, (PAnd, POr)):
-            return max(depth_path_states(p.lhs), depth_path_states(p.rhs))
+            return max(map(depth_path_states, p.operands))
         raise FormulaError(f"not a normal-form path formula: {p!r}")
 
     return depth_state(f)
@@ -464,6 +469,68 @@ def test_conj_canonical_order_and_units():
     assert disj(FALSE, lit("p")) is lit("p")
     assert disj(TRUE, lit("p")) is TRUE
     assert conj(lit("p"), lit("p")) is lit("p")
+
+
+_LEAVES = hst.sampled_from([lit("p"), lit("q"), lit("r"), lit("p", False), lit("q", False)])
+_COALITIONS = hst.sampled_from([(), (1,), (2,)])
+
+
+def _path_formulas(states, max_leaves):
+    temporal = (
+        hst.builds(pnext, states) | hst.builds(always, states) | hst.builds(until, states, states)
+    )
+    return hst.recursive(
+        states | temporal,
+        lambda sub: hst.builds(pand, sub, sub) | hst.builds(por, sub, sub),
+        max_leaves=max_leaves,
+    )
+
+
+_QUANTIFIED = hst.builds(enf, _COALITIONS, _path_formulas(_LEAVES, 4)) | hst.builds(
+    unav, _COALITIONS, _path_formulas(_LEAVES, 4)
+)
+_STATE_FORMULAS = hst.recursive(
+    _LEAVES | _QUANTIFIED,
+    lambda sub: hst.builds(conj, sub, sub) | hst.builds(disj, sub, sub),
+    max_leaves=6,
+)
+_PATH_FORMULAS = _path_formulas(_STATE_FORMULAS, 5)
+# join -> (unit, absorber, operands it joins)
+_JOIN_LAWS = {
+    conj: (TRUE, FALSE, _STATE_FORMULAS),
+    disj: (FALSE, TRUE, _STATE_FORMULAS),
+    pand: (TRUE, FALSE, _PATH_FORMULAS),
+    por: (FALSE, TRUE, _PATH_FORMULAS),
+}
+
+
+def _assert_joins_well_formed(f):
+    for g in iter_subformulas(f):
+        t = type(g)
+        if t in (And, Or, PAnd, POr):
+            keys = [h.key for h in g.operands]
+            assert len(keys) >= 2 and keys == sorted(set(keys)), g
+            assert all(type(h) is not t for h in g.operands), g
+            if t in (PAnd, POr):
+                assert sum(isinstance(h, StateFormula) for h in g.operands) <= 1, g
+
+
+@pytest.mark.parametrize("mk", list(_JOIN_LAWS), ids=lambda mk: mk.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data())
+def test_joins_obey_the_laws_of_their_connective(mk, data):
+    unit, absorber, operands = _JOIN_LAWS[mk]
+    a, b, c = (data.draw(operands) for _ in range(3))
+    joined = mk(a, b, c)
+    assert mk(a, mk(b, c)) is joined and mk(mk(a, b), c) is joined
+    assert mk(a, b) is mk(b, a)
+    assert mk(a, a) is a
+    assert mk(a, unit) is a and mk(unit, a) is a and mk(a) is a and mk() is unit
+    assert mk(a, absorber) is absorber and mk(absorber, b, c) is absorber
+    for f in (a, b, joined, mk(a, b)):
+        _assert_joins_well_formed(f)
+        state = f if isinstance(f, StateFormula) else enf((1,), f)
+        assert parse(to_text(state)) is state
 
 
 def test_negate_literal_helpers():

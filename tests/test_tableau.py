@@ -313,6 +313,33 @@ def test_multi_agent_family_golden_counts(text, sat, counts):
     ) == counts
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conjunct_order_does_not_change_the_until_tableau(n):
+    # u n has 2^n prestates and 3^n states: a join is one node, so the
+    # root label holds no prefix of the input's conjunct order.
+    goals = [f"p{i} U q{i}" for i in range(n)]
+    shuffled = list(goals)
+    random.Random(n).shuffle(shuffled)
+    for order in (goals, goals[::-1], shuffled):
+        d = run("<<1>>(" + " & ".join(order) + ")")
+        assert (d.pretableau_prestate_count, d.pretableau_state_count) == (2**n, 3**n)
+
+
+@pytest.mark.parametrize(
+    "conjuncts, counts",
+    [
+        ([f"<<{i}>>(F p{i} & G r)" for i in (1, 2, 3)], (28, 72)),
+        ([f"<<{i}>>(F p{i} | G q)" for i in (1, 2, 3)] + ["[[1]]F ~q"], (69, 597)),
+    ],
+    ids=["F&G 3", "dis 3"],
+)
+def test_conjunct_order_does_not_change_family_tableaux(conjuncts, counts):
+    for order in itertools.permutations(conjuncts):
+        d = run(" & ".join(order))
+        assert d.sat
+        assert (d.pretableau_prestate_count, d.pretableau_state_count) == counts
+
+
 # ---------------------------------------------------------------------------
 # Elimination against the per-pair reference
 
@@ -483,7 +510,7 @@ def tableau_digests():
 
 def test_every_tableau_matches_golden_digests():
     golden = json.loads(TABLEAU_GOLDEN.read_text(encoding="utf-8"))
-    assert len(golden) == 382
+    assert len(golden) == 378
     assert tableau_digests() == golden
 
 
@@ -500,17 +527,17 @@ def test_trivial_step_added_when_no_successor_formula():
 
 def test_links_are_read_off_the_expansion_before_the_unconditional_step():
     # D4's expansion renders the until's q-component.  The unconditional
-    # step added after it renders <<1>>X true, an earlier component, which
-    # must not take over the link.
-    d = run("<<1>>(G p | (<<1>>X true) | p U q)")
+    # step added after it renders <<1>>X true, the first component (that of
+    # the disjunct X true & <<1>>X true), which must not take over the link.
+    d = run("<<1>>(G p | (X true & <<1>>X true) | p U q)")
     d4 = d.tableau.states[3]
     assert sorted(to_text(g) for g in d4.label) == [
-        "<<1>>(G p | <<1>>X true | p U q)",
+        "<<1>>(X true & <<1>>X true | G p | p U q)",
         "<<1>>X true",
         "q",
     ]
     assert {to_text(g): to_text(c.rendered) for g, c in d4.linked.items()} == {
-        "<<1>>(G p | <<1>>X true | p U q)": "q"
+        "<<1>>(X true & <<1>>X true | G p | p U q)": "q"
     }
 
 
