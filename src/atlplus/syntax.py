@@ -340,29 +340,7 @@ def _join(name: str, op: str, unit: Formula, absorber: Formula, cls: type,
     ``state_join`` into one operand, so a join of state formulas alone is
     their state join."""
 
-    def join(a=unit, b=unit, *more):
-        # Missing parts are the unit; two parts, the common case, skip the
-        # general rule below when neither is a ``cls`` node.
-        if not more:
-            if a is unit or b is absorber:
-                return b
-            if b is unit or a is absorber:
-                return a
-            if a is b:
-                return a
-            if type(a) is not cls and type(b) is not cls:
-                if b.key < a.key:
-                    a, b = b, a
-                key = f"({a.key}{op}{b.key})"
-                node = _TABLE.get(key)
-                if node is not None:
-                    return node
-                if state_join is not None and (
-                    isinstance(a, StateFormula) and isinstance(b, StateFormula)
-                ):
-                    return state_join(a, b)
-                return _mk(cls, key, (a, b))
-        parts = (a, b, *more)
+    def join(*parts):
         # The distinct operands by key, which interning makes one per node.
         keyed = {}
         if state_join is not None:

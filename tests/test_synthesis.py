@@ -264,13 +264,13 @@ FAMILIES = {
 
 @pytest.mark.parametrize(
     "name, n_states",
-    [("F&G 3", 41), ("F&G 4", 113), ("dis4", 211), ("F&G 5", 289)],
+    [("F&G 3", 41), ("F&G 4", 113), ("dis4", 187), ("F&G 5", 289)],
 )
 def test_assemble_links_dead_ends_to_existing_components(name, n_states):
     # One component per (row, state): copying one under every dead end
     # gave 291, 5,524, 38,988 and 134,965 states.  The count follows state
     # numbering: while joins were binary, dis4 gave 187, 195 or 211 states
-    # by conjunct order; it gives 211 in every order.
+    # by conjunct order; it gives 187 in every order.
     raw = parse(FAMILIES[name])
     universe = default_universe(raw)
     f = to_nnf(raw, universe)
