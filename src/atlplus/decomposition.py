@@ -5,12 +5,17 @@ into *now/later* pairs: each pair says what must hold at the first state
 (a state formula) and what the remaining suffix play must satisfy (a path
 formula, which is ``TRUE`` when nothing remains).  Boolean path
 connectives combine the pairs of their operands, one from each operand
-of a conjunction and one or more of a disjunction's.
+of a conjunction and one or more of a disjunction's.  A combined pair
+keeps the now-parts it combines apart, and they are joined into one node
+only where that node is needed (see :class:`DecPair`), so the closure
+interns few nodes that no label holds.
 
 For a quantified path formula (a gamma formula) every pair turns into one
 *component*: a state formula that is either the now-part alone (when
-nothing remains) or the conjunction of the now-part with a single-step
-quantified successor formula.  Choosing one component per gamma formula,
+nothing remains) or the conjunction of the now-parts with a single-step
+quantified successor formula, built by one join.  The pairs and the
+successor steps are memos of one :func:`closure` call; the components
+are cached for the process.  Choosing one component per gamma formula,
 one disjunct per disjunction and every conjunct of every conjunction
 saturates a label into its *full expansions* -- the downward-closed,
 clash-free supersets that become tableau states.  Expansions are bare
@@ -20,7 +25,7 @@ label alone by :func:`gamma_links`, once per tableau state.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -54,12 +59,23 @@ class ClosureLimitError(FormulaError):
 
 
 class DecPair(NamedTuple):
-    """One way to satisfy a path formula: ``now`` holds at the first state
-    and the suffix play satisfies ``later``, which is ``TRUE`` when nothing
-    remains."""
+    """One way to satisfy a path formula: the conjunction of ``parts`` holds
+    at the first state and the suffix play satisfies ``later``, which is
+    ``TRUE`` when nothing remains.
 
-    now: StateFormula
+    ``parts`` are the now-parts of the pairs the pair combines.  ``dec``
+    joins them into one node only where it needs that node: to tell apart
+    pairs that share a remainder, and for a pair with no remainder, whose
+    node is the component it renders.  Such a pair holds its node alone.
+    """
+
+    parts: tuple[StateFormula, ...]
     later: Formula
+
+    @property
+    def now(self) -> StateFormula:
+        """The now-part, the conjunction of ``parts``, built on access."""
+        return conj(*self.parts)
 
 
 def _key(g) -> str:
@@ -74,20 +90,19 @@ class _Scratch:
     """Memos of one :func:`closure` call, dropped when it returns.
 
     Decomposing the paths of many gamma formulas meets the same remainders
-    over and over.  ``joins`` maps a path join and the remainders it joins
-    to their join, and ``steps`` a quantifier, coalition and remainder to
-    the re-quantified remainder and its successor formula.  They hold an
+    over and over.  ``pairs`` maps a path formula to its ``dec`` pairs,
+    ``joins`` a path join and the remainders it joins to their join, and
+    ``steps`` a quantifier, coalition and remainder to the re-quantified
+    remainder and its successor formula.  ``joins`` and ``steps`` hold an
     entry per distinct remainder, not per pair.
     """
 
-    __slots__ = ("joins", "steps")
+    __slots__ = ("pairs", "joins", "steps")
 
     def __init__(self) -> None:
+        self.pairs: dict[Formula, tuple[DecPair, ...]] = {}
         self.joins: dict[tuple, Formula] = {}
         self.steps: dict[tuple, tuple[StateFormula, StateFormula]] = {}
-
-
-_DEC_CACHE: dict[Formula, tuple[DecPair, ...]] = {}
 
 
 def dec(p: Formula, scratch: _Scratch | None = None) -> tuple[DecPair, ...]:
@@ -98,28 +113,32 @@ def dec(p: Formula, scratch: _Scratch | None = None) -> tuple[DecPair, ...]:
 
     A join folds its operands' pairs left to right by that rule, keeping
     each combination as the tuple of the operand pairs it combines.  Each
-    combination then becomes one pair: the ``conj`` of its now-parts and
-    the join of its remainders by the connective itself, made once per
-    ``scratch``, which the call makes when the caller gives none.
+    combination then becomes one pair: the now-parts of its pairs and the
+    join of its remainders by the connective itself.  Two combinations give
+    the same pair when their remainders are equal and their now-parts
+    ``conj`` to the same node; the first one is kept.  The pairs of each
+    path formula, and each remainder join, are made once per ``scratch``,
+    which the call makes when the caller gives none.
     """
-    cached = _DEC_CACHE.get(p)
-    if cached is not None:
-        return cached
+    if scratch is None:
+        scratch = _Scratch()
+    memo = scratch.pairs
+    result = memo.get(p)
+    if result is not None:
+        return result
     t = type(p)
     if p.kind is not None:
-        out = [DecPair(p, TRUE)]
+        result = (DecPair((p,), TRUE),)
     elif t is Next:
-        out = [DecPair(TRUE, p.state)]
+        result = (DecPair((), p.state),)
     elif t is Always:
-        out = [DecPair(p.state, p)]
+        result = (DecPair((p.state,), p),)
     elif t is Until:
-        out = [DecPair(p.lhs, p), DecPair(p.rhs, TRUE)]
+        result = (DecPair((p.lhs,), p), DecPair((p.rhs,), TRUE))
     elif t is PAnd or t is POr:
-        if scratch is None:
-            scratch = _Scratch()
         operand_pairs = [dec(q, scratch) for q in p.operands]
         if t is PAnd:
-            combos = product(*operand_pairs)
+            combos = list(product(*operand_pairs))
             mk = pand
         else:
             combos = []
@@ -133,17 +152,25 @@ def dec(p: Formula, scratch: _Scratch | None = None) -> tuple[DecPair, ...]:
                 ]
             mk = por
         joins = scratch.joins
-        out = []
+        laters = []
         for combo in combos:
-            laters = tuple([c.later for c in combo])
-            later = joins.get((mk, laters))
+            remainders = tuple([c.later for c in combo])
+            later = joins.get((mk, remainders))
             if later is None:
-                later = joins[mk, laters] = mk(*laters)
-            out.append(DecPair(conj(*[c.now for c in combo]), later))
+                later = joins[mk, remainders] = mk(*remainders)
+            laters.append(later)
+        shared = Counter(laters)
+        out = []
+        for combo, later in zip(combos, laters):
+            parts = tuple([g for c in combo for g in c.parts])
+            if later is TRUE or shared[later] > 1:
+                # Only these can equal another pair: they hold their node.
+                parts = (conj(*parts),)
+            out.append(DecPair(parts, later))
+        result = tuple(dict.fromkeys(out))
     else:
         raise FormulaError(f"cannot decompose {p!r}")
-    result = tuple(dict.fromkeys(out))
-    _DEC_CACHE[p] = result
+    memo[p] = result
     return result
 
 
@@ -157,7 +184,6 @@ class GammaComponent:
     formula whose payload ``next_ev`` re-quantifies the remainder.
     """
 
-    now: StateFormula
     next_ev: StateFormula | None
     step: StateFormula | None
     rendered: StateFormula
@@ -171,9 +197,11 @@ def gamma_components(
 ) -> tuple[GammaComponent, ...]:
     """The components of a gamma formula, one per ``dec`` pair of its path.
 
-    Gamma formulas of one quantifier and coalition share remainders, so
-    each remainder's ``next_ev`` and ``step`` are derived once per
-    ``scratch``, which the call makes when the caller gives none.
+    Each component's ``rendered`` formula is one join of the pair's
+    now-parts and its step.  Gamma formulas of one quantifier and coalition
+    share remainders, so each remainder's ``next_ev`` and ``step`` are
+    derived once per ``scratch``, which the call makes when the caller
+    gives none.
     """
     cached = _GAMMA_CACHE.get(f)
     if cached is not None:
@@ -185,9 +213,9 @@ def gamma_components(
     steps = scratch.steps
     cls, coalition = type(f), f.coalition
     components = []
-    for now, later in dec(f.path, scratch):
+    for parts, later in dec(f.path, scratch):
         if later is TRUE:
-            components.append(GammaComponent(now, None, None, now))
+            components.append(GammaComponent(None, None, conj(*parts)))
             continue
         derived = steps.get((cls, coalition, later))
         if derived is None:
@@ -195,7 +223,7 @@ def gamma_components(
             derived = next_ev, requantify(f, pnext(next_ev))
             steps[(cls, coalition, later)] = derived
         next_ev, step = derived
-        components.append(GammaComponent(now, next_ev, step, conj(now, step)))
+        components.append(GammaComponent(next_ev, step, conj(*parts, step)))
     result = tuple(components)
     _GAMMA_CACHE[f] = result
     return result

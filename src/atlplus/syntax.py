@@ -28,8 +28,8 @@ shared mutable state (guarded by the GIL); all operations are otherwise
 pure functions of their inputs.  The process-wide tables of the package:
 
 - ``syntax._TABLE``, the intern table, unbounded;
-- ``decomposition._DEC_CACHE`` and ``_GAMMA_CACHE``, a path formula's
-  now/later pairs and a gamma formula's components, unbounded;
+- ``decomposition._GAMMA_CACHE``, a gamma formula's components,
+  unbounded;
 - ``decomposition._realization``, what ``realized_now`` tests of a path
   formula, an LRU cache of at most 4,096 entries;
 - ``enumeration._CACHE`` and ``_CHECKERS``, keyed by the enumeration
@@ -37,8 +37,8 @@ pure functions of their inputs.  The process-wide tables of the package:
 
 The formula-keyed ones key by interned node, so by identity.  No code
 iterates one of them, so none decides an order that reaches an output.
-Memos that serve one formula, such as the successor steps that
-``decomposition.closure`` derives, live for one call.
+Memos that serve one formula, such as the now/later pairs and the
+successor steps that ``decomposition.closure`` derives, live for one call.
 """
 
 from __future__ import annotations

@@ -163,13 +163,15 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     move cell) otherwise.  The root is the oldest surviving state containing
     the input, grafted with the input's own row when the input is an
     eventuality and with the first row otherwise.  One pass over the other
-    rows, in cyclic order, grafts every dead end with the current row.  The
-    dead ends left are closed off in one forward pass in node order, which
-    also visits the nodes that grafting appends: each is grafted with the
-    nearest row after its own that its state defers, so every play keeps
-    meeting the realizing component of every obligation it carries; failing
-    that, with the oldest row its state already has, else the next row.
-    The final tableau no longer changes, so each state's move partition is
+    rows, in cyclic order, grafts every dead end with the current row; it
+    reads only the nodes made since the previous pass began, since a pass
+    leaves none of its own dead ends open.  The dead ends left are closed
+    off in one forward pass in node order, which also visits the nodes that
+    grafting appends: each is grafted with the nearest row after its own
+    that its state defers, so every play keeps meeting the realizing
+    component of every obligation it carries; failing that, with the oldest
+    row its state already has, else the next row.  The final tableau no
+    longer changes, so each state's move partition and pending rows are
     computed once per call.
     """
     if tab.phase != "final":
@@ -186,8 +188,13 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     start = rows.index(eta) if eta.kind is GAMMA and eta in rows else 0
 
     nodes: list[HNode] = []
+    # The nodes made since the last row pass began, in node order: the only
+    # nodes that can still be open dead ends.
+    fresh: list[HNode] = []
     # state index -> its move partition, computed once per call
     partitions: dict[int, list[MoveCell]] = {}
+    # state index -> its pending rows, computed once per call
+    deferred_rows: dict[int, list[int]] = {}
     # state index -> {row: the root of that (row, state) component}
     component_roots: dict[int, dict[int, HNode]] = {}
 
@@ -200,6 +207,7 @@ def assemble(tab: Tableau) -> HintikkaStructure:
     def new_node(state: TState) -> HNode:
         node = HNode(nid=len(nodes) + 1, state=state)
         nodes.append(node)
+        fresh.append(node)
         return node
 
     def grow(node: HNode, ev: StateFormula | None) -> None:
@@ -249,18 +257,25 @@ def assemble(tab: Tableau) -> HintikkaStructure:
 
     root = new_node(min(candidates, key=lambda s: s.index))
     graft(root, start)
+    # Children are never removed and dead nodes never revive, so a pass
+    # leaves no node it grafts open: the next pass needs only the new ones.
     for offset in range(1, n_rows):
         row_index = (start + offset) % n_rows
-        for node in [n for n in nodes if n.alive and n.is_dead_end()]:
+        batch = [n for n in fresh if n.alive and n.is_dead_end()]
+        fresh.clear()
+        for node in batch:
             graft(node, row_index)
 
-    # Children are never removed, dead nodes never revive and grafting only
-    # appends, so the node reached here is always the oldest open dead end.
-    for node in nodes:
+    # Grafting only appends, so the node reached here is always the oldest
+    # open dead end.
+    for node in fresh:
         if not node.alive or not node.is_dead_end():
             continue
-        present = component_roots.get(node.state.index, {})
-        deferred = pending_rows(rows, node.state, ranks)
+        index = node.state.index
+        present = component_roots.get(index, {})
+        deferred = deferred_rows.get(index)
+        if deferred is None:
+            deferred = deferred_rows[index] = pending_rows(rows, node.state, ranks)
         if deferred:
             row_index = min(deferred, key=lambda i: (i - node.row - 1) % n_rows)
         elif present:

@@ -1,11 +1,17 @@
 """Now/later decomposition, gamma components, closure, and expansions."""
 
+import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from atlplus import decomposition
 from atlplus.decomposition import (
     ClosureLimitError,
     DecPair,
@@ -137,13 +143,13 @@ def test_state_formulas_sit_in_path_positions_directly():
     assert pand(P, Q) is conj(P, Q) and por(P, Q) is disj(P, Q)
     s = parse("p | <<1>>G q")
     assert dec(pnext(s))[0].later is s
-    assert dec(P) == ((P, TRUE),)
-    assert dec(until(P, Q))[1] == (Q, TRUE)
+    assert dec(P) == (((P,), TRUE),)
+    assert dec(until(P, Q))[1] == ((Q,), TRUE)
 
 
-def test_dec_cached_and_deterministic():
+def test_dec_deterministic():
     g = nnf("<<1>>(p U q | G q)", (1, 2))
-    assert dec(g.path) is dec(g.path)
+    assert dec(g.path) == dec(g.path)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +183,9 @@ def test_gamma_component_structure():
     c = deferring[0]
     assert c.step.kind is FormulaClass.SUCCESSOR
     assert c.step.path.state is c.next_ev
-    assert c.rendered is conj(c.now, c.step)
-    assert done[0].rendered is done[0].now
+    pairs = dec(g.path)
+    assert c.rendered is conj(pairs[comps.index(c)].now, c.step)
+    assert done[0].rendered is pairs[comps.index(done[0])].now
 
 
 def test_gamma_components_count_doubles_per_nested_until():
@@ -342,6 +349,53 @@ def test_closure_limit_error():
         closure(f, limit=3)
 
 
+# Run in a fresh interpreter, so that every node the closure interns is new
+# to the intern table.  Each until formula has propositions of its own.
+_INTERNED_BY_CLOSURE = """
+import sys
+from atlplus import syntax
+from atlplus.decomposition import closure
+from atlplus.syntax import iter_subformulas, parse, to_nnf
+from atlplus.tableau import decide
+
+for n in map(int, sys.argv[1:]):
+    goals = " & ".join(f"a{n}x{i} U b{n}x{i}" for i in range(n))
+    f = to_nnf(parse(f"<<1>>({goals})"), (1,))
+    before = set(syntax._TABLE)
+    held = {g for h in closure(f) for g in iter_subformulas(h)}
+    added = [node for key, node in syntax._TABLE.items() if key not in before]
+    orphans = [node.key for node in added if node not in held]
+    decide(f, (1,))
+    print(n, len(added), len(orphans), len(syntax._TABLE), orphans[:3])
+"""
+
+
+def test_closure_interns_only_subformulas_of_closure_formulas():
+    """No node the closure interns is left outside every label formula,
+    such as a now-part joined apart from its step; a cold decide of the
+    9-until formula leaves at most 22,000 nodes in the table."""
+    src = str(Path(decomposition.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _INTERNED_BY_CLOSURE, "9", "6"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split(maxsplit=4) for line in result.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["9", "6"]
+    for n, added, orphans, _, first in rows:
+        assert int(added) > 3**int(n) and orphans == "0", (n, orphans, first)
+    assert int(rows[0][3]) <= 22_000
+
+
+def test_closure_keeps_no_decomposition_pair_alive():
+    gc.collect()
+    closure(nnf("<<1>>(p U q & G r | X p) & [[2]](F p & G ~q)", (1, 2)))
+    assert not [o for o in gc.get_objects() if type(o) is DecPair]
+
+
 # ---------------------------------------------------------------------------
 # Full expansions
 
@@ -473,17 +527,18 @@ def _reference_per_pair_path(parts, node_cls):
 def _reference_dec(p):
     """``dec`` of a ``PAnd`` or ``POr``: its operands' pairs folded left to
     right by the binary rule, each combination re-flattened and re-folded
-    from its two pairs."""
+    from its two pairs.  Each pair holds its now-part as one node, so pairs
+    are equal exactly when their now-parts and remainders are."""
     cls = type(p)
     out = None
     for q in p.operands:
-        right = dec(q)
+        right = [DecPair((r.now,), r.later) for r in dec(q)]
         if out is None:
             out = list(right)
             continue
         combined = [
             DecPair(
-                _reference_canon_state([a.now, b.now], And, TRUE, FALSE, conj),
+                (_reference_canon_state([a.now, b.now], And, TRUE, FALSE, conj),),
                 _reference_per_pair_path([a.later, b.later], cls),
             )
             for a in out
@@ -531,6 +586,12 @@ def test_dec_merge_matches_the_per_pair_reference():
         _assert_dec_matches_reference(p)
 
     check()
+    # Five combinations each, of which two give one pair: one with a
+    # remainder that three combinations share, one with none.
+    for text in ("<<1>>(G p & p U q | G p)", "<<1>>((p & q) U r | p U r)"):
+        f = nnf(text)
+        _assert_dec_matches_reference(f.path)
+        assert len(dec(f.path)) == 4, text
 
 
 @pytest.mark.parametrize("n", range(2, 8))
